@@ -14,7 +14,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ctam::cluster::{distribute_with, LeafSplit};
+use ctam::cluster::{distribute_each, distribute_with, LeafSplit};
 use ctam::pipeline::{append_schedule_trace, map_nest, CtamParams, Strategy};
 use ctam::verify::{advise_mapping, AdvisorOptions};
 use ctam::{IterationGroup, Tag};
@@ -340,8 +340,10 @@ fn disjoint_groups(n: usize) -> Vec<IterationGroup> {
 
 /// Scaling curves for the clustering pass: `distribute` wall-clock vs.
 /// group count for stencil sharing, vs. block-space width at a fixed group
-/// count, and for pure-fallback disjoint-tag programs. Timings include one clone
-/// of the input groups per iteration (`distribute` consumes its input).
+/// count, and for pure-fallback disjoint-tag programs; plus the three leaf
+/// splits `TopologyAware` measures, distributed jointly on a root with four
+/// equal children. Timings include one clone of the input groups per
+/// iteration (`distribute` consumes its input).
 fn cluster_scale(c: &mut Criterion) {
     let machine = quad_machine();
     let mut group = c.benchmark_group("cluster_scale");
@@ -388,6 +390,26 @@ fn cluster_scale(c: &mut Criterion) {
                 b.iter(|| {
                     distribute_with(groups.clone(), &machine, 0.10, LeafSplit::Separate).n_cores()
                 });
+            },
+        );
+    }
+    // Joint curve: Harpertown's root has four equal children, so its one
+    // merge run serves both the nested bisection and the direct cut, and
+    // one recursion serves every leaf split.
+    let harpertown = catalog::harpertown();
+    let splits = [
+        LeafSplit::Separate,
+        LeafSplit::Interleave(1),
+        LeafSplit::Interleave(2),
+    ];
+    for exp in [12u32, 14, 16] {
+        let n = 1usize << exp;
+        let groups = stencil_groups(n, n + 2);
+        group.bench_with_input(
+            BenchmarkId::new("stencil_harpertown_each", n),
+            &groups,
+            |b, groups| {
+                b.iter(|| distribute_each(groups.clone(), &harpertown, 0.10, &splits).len());
             },
         );
     }

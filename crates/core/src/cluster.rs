@@ -16,7 +16,9 @@
 //! balancing evicts through an incremental donor index rather than a rescan
 //! per move: the pass scales to millions of iteration groups while producing
 //! exactly the partitions of the quadratic reference that the test suite
-//! keeps in `tests/cluster_reference/`.
+//! keeps in `tests/cluster_reference/`. Nothing is computed twice: one merge
+//! run serves every cluster count a level cuts to, and one recursion serves
+//! every [`LeafSplit`] policy the pipeline measures.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -184,9 +186,7 @@ pub fn distribute(
     distribute_with(groups, machine, balance_threshold, LeafSplit::Separate)
 }
 
-/// [`distribute`] with an explicit [`LeafSplit`] policy. The pipeline
-/// measures both policies per nest and keeps the faster one, the same way
-/// the paper selects its `Base+` tile size by measurement.
+/// [`distribute`] with an explicit [`LeafSplit`] policy.
 ///
 /// # Panics
 ///
@@ -197,6 +197,29 @@ pub fn distribute_with(
     balance_threshold: f64,
     leaf_split: LeafSplit,
 ) -> Assignment {
+    distribute_each(groups, machine, balance_threshold, &[leaf_split])
+        .pop()
+        .expect("one assignment per policy")
+}
+
+/// [`distribute_with`] under every policy in `leaf_splits` at once: entry
+/// `i` of the result is the assignment `leaf_splits[i]` yields. The
+/// pipeline measures the policies per nest and keeps the fastest, the same
+/// way the paper selects its `Base+` tile size by measurement.
+///
+/// One recursion serves every policy, so each partition they have in
+/// common is computed once: the root candidates, and below them every cut
+/// made before a policy starts interleaving.
+///
+/// # Panics
+///
+/// Panics if `balance_threshold` is negative.
+pub fn distribute_each(
+    groups: Vec<IterationGroup>,
+    machine: &Machine,
+    balance_threshold: f64,
+    leaf_splits: &[LeafSplit],
+) -> Vec<Assignment> {
     assert!(balance_threshold >= 0.0, "threshold must be non-negative");
     #[cfg(debug_assertions)]
     let expected_units: Vec<u32> = {
@@ -208,7 +231,10 @@ pub fn distribute_with(
         units
     };
     let n_bits = groups.first().map_or(0, |g| g.tag().n_bits());
-    let mut per_core: Vec<Vec<IterationGroup>> = vec![Vec::new(); machine.n_cores()];
+    let empty = || vec![Vec::new(); machine.n_cores()];
+    let serve: Vec<(usize, LeafSplit)> = leaf_splits.iter().copied().enumerate().collect();
+    let mut per_policy: Vec<Vec<Vec<IterationGroup>>> =
+        leaf_splits.iter().map(|_| empty()).collect();
     // Per-level imbalance compounds multiplicatively down the tree; divide
     // the budget across the splitting levels so the end-to-end imbalance
     // stays within the requested threshold.
@@ -216,19 +242,25 @@ pub fn distribute_with(
     let level_threshold = balance_threshold / splits.max(1) as f64;
     // Root-level look-ahead: the topmost cut constrains everything below,
     // and its local score cannot see the deeper levels. Try every candidate
-    // root cut, distribute each fully, and keep the one with the smallest
-    // end-to-end sharing cost (the same objective the exact reference of
-    // Figure 20 minimizes).
+    // root cut, distribute each fully, and keep, per policy, the first with
+    // the smallest end-to-end sharing cost (the same objective the exact
+    // reference of Figure 20 minimizes).
     let root_children = machine.children(NodeId::ROOT).to_vec();
     if root_children.len() > 1 && !groups.is_empty() {
         let capacities: Vec<usize> = root_children
             .iter()
             .map(|&k| machine.cores_under(k).len().max(1))
             .collect();
-        let mut best: Option<(u64, Vec<Vec<IterationGroup>>)> = None;
-        for candidate in partition_candidates(groups.clone(), &capacities, level_threshold, n_bits)
-        {
-            let mut trial: Vec<Vec<IterationGroup>> = vec![Vec::new(); machine.n_cores()];
+        let candidates = partition_candidates(groups, &capacities, level_threshold, n_bits);
+        // A candidate equal to an earlier one distributes to the same
+        // trials at the same costs, and ties keep the first: skip it.
+        let repeated: Vec<bool> = (0..candidates.len())
+            .map(|i| candidates[..i].contains(&candidates[i]))
+            .collect();
+        let mut best: Vec<Option<u64>> = vec![None; leaf_splits.len()];
+        for (candidate, _) in candidates.into_iter().zip(repeated).filter(|&(_, r)| !r) {
+            let mut trials: Vec<Vec<Vec<IterationGroup>>> =
+                leaf_splits.iter().map(|_| empty()).collect();
             for (child, cluster) in root_children.iter().zip(candidate) {
                 distribute_rec(
                     machine,
@@ -236,20 +268,22 @@ pub fn distribute_with(
                     cluster,
                     level_threshold,
                     n_bits,
-                    leaf_split,
-                    &mut trial,
+                    &serve,
+                    &mut trials,
                 );
             }
-            let core_tags: Vec<Tag> = trial
-                .iter()
-                .map(|gs| Tag::union_of(n_bits, gs.iter().map(IterationGroup::tag)))
-                .collect();
-            let cost = crate::optimal::sharing_cost(machine, &core_tags);
-            if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                best = Some((cost, trial));
+            for ((trial, best), kept) in trials.into_iter().zip(&mut best).zip(&mut per_policy) {
+                let core_tags: Vec<Tag> = trial
+                    .iter()
+                    .map(|gs| Tag::union_of(n_bits, gs.iter().map(IterationGroup::tag)))
+                    .collect();
+                let cost = crate::optimal::sharing_cost(machine, &core_tags);
+                if best.is_none_or(|c| cost < c) {
+                    *best = Some(cost);
+                    *kept = trial;
+                }
             }
         }
-        per_core = best.expect("at least one candidate").1;
     } else {
         distribute_rec(
             machine,
@@ -257,34 +291,41 @@ pub fn distribute_with(
             groups,
             level_threshold,
             n_bits,
-            leaf_split,
-            &mut per_core,
+            &serve,
+            &mut per_policy,
         );
     }
-    // Canonicalize each core's groups to program order: distribution decides
-    // *where* groups run; absent the local scheduler (Figure 7), the order
-    // within a core follows the original code, which preserves its
-    // sequential (line-granular) locality.
-    for groups in &mut per_core {
-        groups.sort_by_key(IterationGroup::first);
-    }
-    // Debug-build self-check: distribution is a pure partition — every input
-    // unit lands on exactly one core, none invented, none lost. Property
-    // tests exercise this for free; release builds skip it.
-    #[cfg(debug_assertions)]
-    {
-        let mut placed: Vec<u32> = per_core
-            .iter()
-            .flatten()
-            .flat_map(|g| g.iterations().iter().copied())
-            .collect();
-        placed.sort_unstable();
-        debug_assert_eq!(
-            placed, expected_units,
-            "distribution must permute the input units"
-        );
-    }
-    Assignment { per_core }
+    per_policy
+        .into_iter()
+        .map(|mut per_core| {
+            // Canonicalize each core's groups to program order:
+            // distribution decides *where* groups run; absent the local
+            // scheduler (Figure 7), the order within a core follows the
+            // original code, which preserves its sequential (line-granular)
+            // locality.
+            for groups in &mut per_core {
+                groups.sort_by_key(IterationGroup::first);
+            }
+            // Debug-build self-check: distribution is a pure partition —
+            // every input unit lands on exactly one core, none invented,
+            // none lost. Property tests exercise this for free; release
+            // builds skip it.
+            #[cfg(debug_assertions)]
+            {
+                let mut placed: Vec<u32> = per_core
+                    .iter()
+                    .flatten()
+                    .flat_map(|g| g.iterations().iter().copied())
+                    .collect();
+                placed.sort_unstable();
+                debug_assert_eq!(
+                    placed, expected_units,
+                    "distribution must permute the input units"
+                );
+            }
+            Assignment { per_core }
+        })
+        .collect()
 }
 
 /// Splits any group larger than `ceil(ideal × (1 + threshold))` — where
@@ -326,72 +367,92 @@ fn split_depth(machine: &Machine, node: NodeId) -> usize {
         .unwrap_or(0)
 }
 
+/// Distributes `groups` below `node` for every policy in `serve`, each an
+/// index into `out` (one per-core table per policy) with its leaf split.
+/// The policies share every cut until they diverge: at a multi-child node,
+/// those that interleave there share one [`interleave_split`], and the
+/// others share one [`partition_groups`] call and recurse together.
 fn distribute_rec(
     machine: &Machine,
     node: NodeId,
-    groups: Vec<IterationGroup>,
+    mut groups: Vec<IterationGroup>,
     threshold: f64,
     n_bits: usize,
-    leaf_split: LeafSplit,
-    out: &mut Vec<Vec<IterationGroup>>,
+    serve: &[(usize, LeafSplit)],
+    out: &mut [Vec<Vec<IterationGroup>>],
 ) {
     if let NodeKind::Core(c) = machine.kind(node) {
-        out[c.index()] = groups;
+        deliver(groups, serve, out, c.index());
         return;
     }
     let children = machine.children(node).to_vec();
     match children.len() {
         0 => unreachable!("validated machines have cores under every cache"),
-        1 => distribute_rec(
-            machine,
-            children[0],
-            groups,
-            threshold,
-            n_bits,
-            leaf_split,
-            out,
-        ),
+        1 => distribute_rec(machine, children[0], groups, threshold, n_bits, serve, out),
         _ => {
-            let capacities: Vec<usize> = children
-                .iter()
-                .map(|&k| machine.cores_under(k).len().max(1))
-                .collect();
             // Near the bottom of the tree the children all share this
             // node's cache(s), so dividing every group across the cores is
             // constructive rather than wasteful; the Interleave policy says
             // how many splitting levels from the bottom to treat that way.
-            if let LeafSplit::Interleave(n) = leaf_split {
-                if split_depth(machine, node) <= usize::from(n) {
-                    let cores = machine.cores_under(node);
-                    for (core, part) in cores.iter().zip(interleave_split(groups, cores.len())) {
-                        out[core.index()] = part;
-                    }
-                    return;
+            let (here, below): (Vec<_>, Vec<_>) = serve.iter().partition(|(_, leaf)| {
+                matches!(leaf, LeafSplit::Interleave(n)
+                    if split_depth(machine, node) <= usize::from(*n))
+            });
+            if !below.is_empty() {
+                let capacities: Vec<usize> = children
+                    .iter()
+                    .map(|&k| machine.cores_under(k).len().max(1))
+                    .collect();
+                let mine = if here.is_empty() {
+                    std::mem::take(&mut groups)
+                } else {
+                    groups.clone()
+                };
+                let clusters = partition_groups(mine, &capacities, threshold, n_bits);
+                for (child, cluster) in children.into_iter().zip(clusters) {
+                    distribute_rec(machine, child, cluster, threshold, n_bits, &below, out);
                 }
             }
-            let clusters = partition_groups(groups, &capacities, threshold, n_bits);
-            for (child, cluster) in children.into_iter().zip(clusters) {
-                distribute_rec(machine, child, cluster, threshold, n_bits, leaf_split, out);
+            if !here.is_empty() {
+                let cores = machine.cores_under(node);
+                for (core, part) in cores.iter().zip(interleave_split(groups, cores.len())) {
+                    deliver(part, &here, out, core.index());
+                }
             }
         }
     }
 }
 
-/// Deals the cluster's work round-robin across the `k` sibling cores:
-/// groups (split first so none exceeds a 1/k share) are ordered by program
-/// position and dealt in turn, so every core receives a slice of every
-/// phase of the cluster's data — the sharers of each block run concurrently
-/// under the caches the siblings share. Balanced to within one group per
-/// core by construction.
+/// Hands one core's `groups` to every policy in `serve`, cloning for all
+/// but the last.
+fn deliver(
+    groups: Vec<IterationGroup>,
+    serve: &[(usize, LeafSplit)],
+    out: &mut [Vec<Vec<IterationGroup>>],
+    core: usize,
+) {
+    if let Some(((last, _), rest)) = serve.split_last() {
+        for (p, _) in rest {
+            out[*p][core] = groups.clone();
+        }
+        out[*last][core] = groups;
+    }
+}
+
+/// Deals the cluster's work across the `k` sibling cores: groups (split
+/// first so none exceeds a 1/k share) are taken in program order, each to
+/// the least-loaded core (the lowest index on ties), so every core
+/// receives a slice of every phase of the cluster's data — the sharers of
+/// each block run concurrently under the caches the siblings share.
+/// Balanced to within one group per core by construction.
 fn interleave_split(groups: Vec<IterationGroup>, k: usize) -> Vec<Vec<IterationGroup>> {
     let total: usize = groups.iter().map(IterationGroup::size).sum();
-    let mut pieces = split_for_balance(groups, k, 0.0);
-    pieces.sort_by_key(IterationGroup::first);
+    let pieces = split_for_balance(groups, k, 0.0);
     let mut out: Vec<Vec<IterationGroup>> = (0..k).map(|_| Vec::new()).collect();
     let mut sizes = vec![0usize; k];
     for g in pieces {
-        // Round-robin with a size guard: take the least-loaded core among
-        // the next in rotation, so uneven piece sizes cannot pile up.
+        // Least-loaded core, lowest index on ties, so uneven piece sizes
+        // cannot pile up.
         let c = (0..k).min_by_key(|&c| (sizes[c], c)).expect("k >= 1 cores");
         sizes[c] += g.size();
         out[c].push(g);
@@ -444,12 +505,23 @@ fn partition_candidates(
     n_bits: usize,
 ) -> Vec<Vec<Vec<IterationGroup>>> {
     let target = capacities.len();
+    let nested =
+        target > 2 && target.is_multiple_of(2) && capacities.windows(2).all(|w| w[0] == w[1]);
+    // The greedy merge order does not depend on where it stops, so one run
+    // from the singletons yields both the direct cut and the bisection.
+    // Copying the groups before wrapping them keeps the singletons' tags
+    // together in memory: copying each while wrapping it makes the merge
+    // 1.3–1.8× slower at 2^16–2^20 sparse-stencil groups.
+    let singletons: Vec<Cluster> = groups.clone().into_iter().map(Cluster::of_group).collect();
+    let targets = [target, 2];
+    let mut merged = merge_to(singletons, &targets[..1 + usize::from(nested)]);
     let mut candidates: Vec<Vec<Vec<IterationGroup>>> = Vec::new();
-    if target > 2 && target.is_multiple_of(2) && capacities.windows(2).all(|w| w[0] == w[1]) {
+    if nested {
         // Halve the per-level threshold so the two nested levels compound
         // to roughly the requested imbalance.
         let t = threshold / 2.0;
-        let halves = partition_direct(groups.clone(), &[1, 1], t, n_bits);
+        let two = merged.pop().expect("one partition per target");
+        let halves = partition_direct(two, &[1, 1], t, n_bits);
         let sub_caps = vec![capacities[0]; target / 2];
         let mut out = Vec::with_capacity(target);
         for half in halves {
@@ -457,12 +529,8 @@ fn partition_candidates(
         }
         candidates.push(out);
     }
-    candidates.push(partition_direct(
-        groups.clone(),
-        capacities,
-        threshold,
-        n_bits,
-    ));
+    let direct = merged.pop().expect("one partition per target");
+    candidates.push(partition_direct(direct, capacities, threshold, n_bits));
     // Order-based cuts (both re-balanced like the greedy candidates; they
     // may need to split a dominant group): program order, and data order —
     // groups sorted by the first block they touch, which lines up
@@ -515,16 +583,16 @@ fn contiguous_cut(groups: &[IterationGroup], capacities: &[usize]) -> Vec<Vec<It
     out
 }
 
-/// One-shot k-way partitioning (the raw Figure 6 level step).
+/// One-shot k-way partitioning (the raw Figure 6 level step) of clusters
+/// already merged down to at most `capacities.len()`: split up to that
+/// count, pair clusters with children, balance.
 fn partition_direct(
-    groups: Vec<IterationGroup>,
+    mut clusters: Vec<Cluster>,
     capacities: &[usize],
     threshold: f64,
     n_bits: usize,
 ) -> Vec<Vec<IterationGroup>> {
     let target = capacities.len();
-    let mut clusters: Vec<Cluster> = groups.into_iter().map(Cluster::of_group).collect();
-    merge_to(&mut clusters, target);
     split_to(&mut clusters, target, n_bits);
 
     // Pair clusters with children before balancing. For the symmetric trees
@@ -614,7 +682,10 @@ impl<T: Ord + Copy> QuadHeap<T> {
 
 /// Greedy agglomerative merging: repeatedly merge the cluster pair with the
 /// largest tag dot product (ties: smallest combined size, then smallest
-/// program gap, then smallest indices) until `target` clusters remain.
+/// program gap, then smallest indices), returning the partition at each of
+/// `targets` (strictly descending) cluster counts, in that order. The merge
+/// sequence does not depend on where it stops, so one run yields what a
+/// run to each target alone would leave.
 ///
 /// Only pairs that actually share blocks (dot > 0) are ever queued. They are
 /// discovered through a block→cluster postings index; per-cluster neighbour
@@ -626,10 +697,11 @@ impl<T: Ord + Copy> QuadHeap<T> {
 /// the global maximum, and the merge sequence is that of the quadratic
 /// reference, which dots every pair and rescans every survivor after each
 /// merge (`tests/cluster_equivalence.rs` asserts the two agree).
-fn merge_to(clusters: &mut Vec<Cluster>, target: usize) {
-    if clusters.len() <= target {
-        return;
-    }
+fn merge_to(mut clusters: Vec<Cluster>, targets: &[usize]) -> Vec<Vec<Cluster>> {
+    debug_assert!(
+        !targets.is_empty() && targets.windows(2).all(|w| w[0] > w[1]),
+        "targets must be strictly descending"
+    );
     let n = clusters.len();
     let idx32 = |i: usize| u32::try_from(i).expect("cluster ids fit in u32");
     // Heap entry: the merge priority (dot, Reverse(size sum), Reverse(gap),
@@ -678,6 +750,29 @@ fn merge_to(clusters: &mut Vec<Cluster>, target: usize) {
         .collect();
     let mut next: Vec<u32> = vec![NO_NEXT; n];
     let mut tail: Vec<u32> = (0..n).map(idx32).collect();
+    /// Survivor `k`'s groups, gathered along its chain: moved out when
+    /// `take`, cloned otherwise (the run goes on to a smaller target).
+    fn members(
+        next: &[u32],
+        node_groups: &mut [Vec<IterationGroup>],
+        k: usize,
+        take: bool,
+    ) -> Vec<IterationGroup> {
+        let chain = || {
+            std::iter::successors(Some(k), |&c| {
+                (next[c] != NO_NEXT).then_some(next[c] as usize)
+            })
+        };
+        let mut groups = Vec::with_capacity(chain().map(|c| node_groups[c].len()).sum());
+        for c in chain() {
+            if take {
+                groups.append(&mut node_groups[c]);
+            } else {
+                groups.extend_from_slice(&node_groups[c]);
+            }
+        }
+        groups
+    }
     // Tag/size/first/generation merge; membership travels on the chain.
     let merge_cluster = |clusters: &mut [Cluster], i: usize, j: usize| {
         let tag_j = std::mem::replace(&mut clusters[j].tag, Tag::empty(0));
@@ -781,7 +876,7 @@ fn merge_to(clusters: &mut Vec<Cluster>, target: usize) {
     // of one per sharing pair.
     for k in 0..n {
         if let Some(e) = refresh(
-            clusters,
+            &clusters,
             &mut nbrs,
             &mut parent,
             &mut stamp,
@@ -808,134 +903,120 @@ fn merge_to(clusters: &mut Vec<Cluster>, target: usize) {
                 }
             }
         };
+    let mut partitions = Vec::with_capacity(targets.len());
     let mut remaining = n;
-    while remaining > target {
-        let (i, j, sharing) = match heap.pop() {
-            // No sharing pairs left: merge the two smallest clusters (their
-            // relative placement is locality-neutral, so minimize the size
-            // skew handed to load balancing). No candidate regeneration
-            // follows: a dry sharing heap means no alive pair shares a block
-            // (every live sharing pair always has a current-generation
-            // entry queued), and because dot(a|b, c) <= dot(a, c) +
-            // dot(b, c), merging two disjoint clusters cannot create
-            // sharing, so the heap stays dry.
-            None => {
-                let fb = fallback.get_or_insert_with(|| {
-                    (0..n)
-                        .filter(|&k| alive[k])
-                        .map(|k| {
-                            Reverse((
-                                clusters[k].size,
-                                clusters[k].first,
-                                k,
-                                clusters[k].generation,
-                            ))
-                        })
-                        .collect()
-                });
-                let a = pop_smallest(fb, clusters, &alive);
-                let b = pop_smallest(fb, clusters, &alive);
-                (a.min(b), a.max(b), false)
-            }
-            Some(top) => {
-                let (i, j) = entry_pair(&top);
-                let (gi, gj) = (top.2, top.3);
-                if !alive[i]
-                    || !alive[j]
-                    || clusters[i].generation != gi
-                    || clusters[j].generation != gj
-                {
-                    // A stale entry may have been the only cover for its
-                    // owner's other pairs: re-derive a fresh best for each
-                    // endpoint that is still alive and unchanged. (An
-                    // endpoint whose generation moved re-queued its own best
-                    // at that move; a dead one needs none.)
-                    for (e, g) in [(i, gi), (j, gj)] {
-                        if alive[e] && clusters[e].generation == g {
-                            if let Some(entry) = refresh(
-                                clusters,
-                                &mut nbrs,
-                                &mut parent,
-                                &mut stamp,
-                                &mut round,
-                                &mut scratch,
-                                e,
-                                None,
-                            ) {
-                                heap.push(entry);
+    for (t, &target) in targets.iter().enumerate() {
+        while remaining > target {
+            let (i, j, sharing) = match heap.pop() {
+                // No sharing pairs left: merge the two smallest clusters (their
+                // relative placement is locality-neutral, so minimize the size
+                // skew handed to load balancing). No candidate regeneration
+                // follows: a dry sharing heap means no alive pair shares a block
+                // (every live sharing pair always has a current-generation
+                // entry queued), and because dot(a|b, c) <= dot(a, c) +
+                // dot(b, c), merging two disjoint clusters cannot create
+                // sharing, so the heap stays dry.
+                None => {
+                    let fb = fallback.get_or_insert_with(|| {
+                        (0..n)
+                            .filter(|&k| alive[k])
+                            .map(|k| {
+                                Reverse((
+                                    clusters[k].size,
+                                    clusters[k].first,
+                                    k,
+                                    clusters[k].generation,
+                                ))
+                            })
+                            .collect()
+                    });
+                    let a = pop_smallest(fb, &clusters, &alive);
+                    let b = pop_smallest(fb, &clusters, &alive);
+                    (a.min(b), a.max(b), false)
+                }
+                Some(top) => {
+                    let (i, j) = entry_pair(&top);
+                    let (gi, gj) = (top.2, top.3);
+                    if !alive[i]
+                        || !alive[j]
+                        || clusters[i].generation != gi
+                        || clusters[j].generation != gj
+                    {
+                        // A stale entry may have been the only cover for its
+                        // owner's other pairs: re-derive a fresh best for each
+                        // endpoint that is still alive and unchanged. (An
+                        // endpoint whose generation moved re-queued its own best
+                        // at that move; a dead one needs none.)
+                        for (e, g) in [(i, gi), (j, gj)] {
+                            if alive[e] && clusters[e].generation == g {
+                                if let Some(entry) = refresh(
+                                    &clusters,
+                                    &mut nbrs,
+                                    &mut parent,
+                                    &mut stamp,
+                                    &mut round,
+                                    &mut scratch,
+                                    e,
+                                    None,
+                                ) {
+                                    heap.push(entry);
+                                }
                             }
                         }
+                        continue;
                     }
-                    continue;
+                    (i, j, true)
                 }
-                (i, j, true)
-            }
-        };
-        alive[j] = false;
-        merge_cluster(clusters, i, j);
-        next[tail[i] as usize] = idx32(j);
-        tail[i] = tail[j];
-        parent[j] = idx32(i);
-        remaining -= 1;
-        if sharing {
-            // Streaming regeneration: the merged cluster shares a block with
-            // exactly the union of the two halves' neighbour lists. The
-            // union becomes the survivor's (compacted) list and its best
-            // pair is re-queued.
-            let list_j = std::mem::take(&mut nbrs[j]);
-            if let Some(e) = refresh(
-                clusters,
-                &mut nbrs,
-                &mut parent,
-                &mut stamp,
-                &mut round,
-                &mut scratch,
-                i,
-                Some(&list_j),
-            ) {
-                heap.push(e);
-            }
-        } else {
-            fallback
-                .as_mut()
-                .expect("built on the first dry pop")
-                .push(Reverse((
-                    clusters[i].size,
-                    clusters[i].first,
+            };
+            alive[j] = false;
+            merge_cluster(&mut clusters, i, j);
+            next[tail[i] as usize] = idx32(j);
+            tail[i] = tail[j];
+            parent[j] = idx32(i);
+            remaining -= 1;
+            if sharing {
+                // Streaming regeneration: the merged cluster shares a block with
+                // exactly the union of the two halves' neighbour lists. The
+                // union becomes the survivor's (compacted) list and its best
+                // pair is re-queued.
+                let list_j = std::mem::take(&mut nbrs[j]);
+                if let Some(e) = refresh(
+                    &clusters,
+                    &mut nbrs,
+                    &mut parent,
+                    &mut stamp,
+                    &mut round,
+                    &mut scratch,
                     i,
-                    clusters[i].generation,
-                )));
-        }
-    }
-    // Materialize each survivor's membership from its chain and drop the
-    // dead husks.
-    let mut kept = Vec::with_capacity(remaining);
-    for (idx, mut c) in std::mem::take(clusters).into_iter().enumerate() {
-        if !alive[idx] {
-            continue;
-        }
-        let mut count = 0;
-        let mut cur = idx as u32;
-        loop {
-            count += node_groups[cur as usize].len();
-            cur = next[cur as usize];
-            if cur == NO_NEXT {
-                break;
+                    Some(&list_j),
+                ) {
+                    heap.push(e);
+                }
+            } else {
+                fallback
+                    .as_mut()
+                    .expect("built on the first dry pop")
+                    .push(Reverse((
+                        clusters[i].size,
+                        clusters[i].first,
+                        i,
+                        clusters[i].generation,
+                    )));
             }
         }
-        let mut groups = Vec::with_capacity(count);
-        let mut cur = idx as u32;
-        loop {
-            groups.append(&mut node_groups[cur as usize]);
-            cur = next[cur as usize];
-            if cur == NO_NEXT {
-                break;
-            }
-        }
-        c.groups = groups;
-        kept.push(c);
+        // Materialize each survivor's membership from its chain: the last
+        // target takes the groups, an earlier one copies them.
+        let take = t + 1 == targets.len();
+        let survivors = (0..n)
+            .filter(|&k| alive[k])
+            .map(|k| Cluster {
+                groups: members(&next, &mut node_groups, k, take),
+                ..clusters[k].clone()
+            })
+            .collect();
+        partitions.push(survivors);
     }
-    *clusters = kept;
+    partitions
 }
 
 /// Splits the largest clusters until `target` clusters exist (Figure 6's

@@ -4,7 +4,7 @@
 //! that.
 
 use crate::baselines::{base_assignment, base_plus_assignment, local_assignment};
-use crate::cluster::{distribute, distribute_with, split_for_balance, LeafSplit};
+use crate::cluster::{distribute, distribute_each, split_for_balance, LeafSplit};
 use crate::optimal::{optimal_assignment, OptimalOptions};
 use crate::pipeline::CtamError;
 use crate::schedule::{schedule_dependence_only, schedule_local, Schedule};
@@ -89,19 +89,20 @@ impl MappingStrategy for Topology {
         // Try both last-level split policies (separate vs constructive
         // interleave, Figure 3a vs 3b) and keep whichever measures faster
         // on this nest — the same measured selection the paper applies to
-        // its Base+ tile size.
+        // its Base+ tile size. One joint distribution computes the cuts
+        // the policies share once.
+        let assignments = distribute_each(
+            groups,
+            cx.machine,
+            cx.params.balance_threshold,
+            &[
+                LeafSplit::Separate,
+                LeafSplit::Interleave(1),
+                LeafSplit::Interleave(2),
+            ],
+        );
         let mut candidates = Vec::new();
-        for leaf in [
-            LeafSplit::Separate,
-            LeafSplit::Interleave(1),
-            LeafSplit::Interleave(2),
-        ] {
-            let a = distribute_with(
-                groups.clone(),
-                cx.machine,
-                cx.params.balance_threshold,
-                leaf,
-            );
+        for a in assignments {
             let (a, graph) = cx.acyclic(a);
             let n = a.per_core().iter().map(Vec::len).sum();
             let schedule = if self.local_schedule {

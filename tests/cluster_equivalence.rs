@@ -4,16 +4,17 @@
 //! `cluster_reference/` — on random group sets at every word-boundary tag
 //! width, on fixed cases that drive the no-sharing merge fallback, and on
 //! the workload registry × commercial machine grid under every leaf-split
-//! policy `TopologyAware` measures.
+//! policy `TopologyAware` measures, one at a time and all at once through
+//! `distribute_each`.
 //!
-//! The `Interleave` rows of the grid are `#[ignore]`d: they take about two
-//! minutes in release on top of the default `Separate` rows' one and a
-//! half. CI's `cluster-scale` job runs them with `--include-ignored`.
+//! The grid under all three policies at once is `#[ignore]`d: it takes
+//! about two minutes in release on top of the default `Separate` rows'
+//! one. CI's `cluster-scale` job runs it with `--include-ignored`.
 
 mod cluster_reference;
 
 use ctam::blocks::BlockMap;
-use ctam::cluster::{distribute_with, partition_groups, LeafSplit};
+use ctam::cluster::{distribute_each, distribute_with, partition_groups, LeafSplit};
 use ctam::group::{group_iterations, IterationGroup};
 use ctam::space::IterationSpace;
 use ctam::tag::Tag;
@@ -85,20 +86,25 @@ fn assert_matches_reference(groups: &[IterationGroup], capacities: &[usize], thr
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random group sets at every tag width, several child shapes.
+    /// Random group sets at every tag width, several child shapes; the
+    /// even symmetric fan-outs above two take the nested bisection, whose
+    /// 2-way cut shares its merge run with the direct cut.
     #[test]
     fn partitions_match_reference(
         specs in proptest::collection::vec(
             (proptest::collection::vec(0usize..10_000, 1..5), 0u8..16),
             2..24,
         ),
-        csel in 0usize..4,
+        csel in 0usize..7,
     ) {
         let capacities: &[usize] = match csel {
             0 => &[1, 1],
             1 => &[1, 1, 1],
             2 => &[2, 2],
-            _ => &[1, 3],
+            3 => &[1, 3],
+            4 => &[1, 1, 1, 1],
+            5 => &[2, 2, 2, 2],
+            _ => &[1; 6],
         };
         for width in WIDTHS {
             let groups = make_groups(width, &specs);
@@ -112,7 +118,8 @@ proptest! {
 
     /// End-to-end agreement on the commercial machines at every tag width
     /// and under every leaf split, including the root look-ahead,
-    /// splitting, interleaving and balancing layers.
+    /// splitting, interleaving and balancing layers — one split per call,
+    /// and all three in one `distribute_each` call.
     #[test]
     fn distributions_match_reference(
         specs in proptest::collection::vec(
@@ -123,11 +130,20 @@ proptest! {
         for machine in catalog::commercial_machines() {
             for width in WIDTHS {
                 let groups = make_groups(width, &specs);
-                for leaf in LEAF_SPLITS {
+                let joint = distribute_each(groups.clone(), &machine, 0.10, &LEAF_SPLITS);
+                prop_assert_eq!(joint.len(), LEAF_SPLITS.len());
+                for (leaf, each) in LEAF_SPLITS.into_iter().zip(joint) {
+                    let reference =
+                        cluster_reference::distribute_with(groups.clone(), &machine, 0.10, leaf);
                     prop_assert_eq!(
-                        distribute_with(groups.clone(), &machine, 0.10, leaf),
-                        cluster_reference::distribute_with(groups.clone(), &machine, 0.10, leaf),
+                        &distribute_with(groups.clone(), &machine, 0.10, leaf),
+                        &reference,
                         "width {} on {} under {:?}", width, machine.name(), leaf
+                    );
+                    prop_assert_eq!(
+                        each,
+                        reference,
+                        "width {} on {} under {:?}, jointly", width, machine.name(), leaf
                     );
                 }
             }
@@ -174,7 +190,9 @@ fn disjoint_tags_take_the_reference_fallback_merges() {
 }
 
 /// Two sharing pairs plus disjoint stragglers: the sharing merges drain the
-/// heap, and the fallback finishes the job.
+/// heap, and the fallback finishes the job. At four targets the nested
+/// bisection's merge run reaches the 4-way partition after the heap has
+/// run dry and goes on through the fallback to its 2-way cut.
 #[test]
 fn fallback_after_sharing_merges_matches_reference() {
     let groups: Vec<IterationGroup> = [
@@ -191,14 +209,16 @@ fn fallback_after_sharing_merges_matches_reference() {
         IterationGroup::new(Tag::from_bits(32, bits.iter().copied()), iters.collect())
     })
     .collect();
-    for target in [2, 3] {
+    for target in [2, 3, 4] {
         assert_matches_reference(&groups, &vec![1; target], 0.10);
     }
 }
 
 /// Every nest of the workload registry at Test size, on every commercial
-/// machine, under each of `leaf_splits`: identical assignments. Real
-/// workloads drive `balance`'s eviction through donors of every size.
+/// machine, under each of `leaf_splits` (distributed in one
+/// `distribute_each` call; the reference runs each split alone): identical
+/// assignments. Real workloads drive `balance`'s eviction through donors of
+/// every size, and the joint call shares their root candidates.
 fn registry_grid(leaf_splits: &[LeafSplit]) {
     let machines = catalog::commercial_machines();
     for w in all(SizeClass::Test) {
@@ -206,9 +226,11 @@ fn registry_grid(leaf_splits: &[LeafSplit]) {
         for (nest, _) in w.program.nests() {
             let groups = group_iterations(&IterationSpace::build(&w.program, nest), &blocks);
             for m in &machines {
-                for &leaf in leaf_splits {
+                let joint = distribute_each(groups.clone(), m, 0.10, leaf_splits);
+                assert_eq!(joint.len(), leaf_splits.len());
+                for (&leaf, each) in leaf_splits.iter().zip(joint) {
                     assert_eq!(
-                        distribute_with(groups.clone(), m, 0.10, leaf),
+                        each,
                         cluster_reference::distribute_with(groups.clone(), m, 0.10, leaf),
                         "{} on {} under {leaf:?}",
                         w.name,
@@ -228,5 +250,5 @@ fn registry_times_machine_grid_assignments_identical() {
 #[test]
 #[ignore = "about two minutes in release; run with --include-ignored"]
 fn registry_times_machine_grid_interleaved_assignments_identical() {
-    registry_grid(&[LeafSplit::Interleave(1), LeafSplit::Interleave(2)]);
+    registry_grid(&LEAF_SPLITS);
 }
