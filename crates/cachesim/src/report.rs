@@ -78,16 +78,6 @@ impl SimReport {
     pub fn invalidations(&self) -> u64 {
         self.invalidations
     }
-
-    /// Average cycles per access (0 for an empty trace).
-    pub fn cycles_per_access(&self) -> f64 {
-        if self.n_accesses == 0 {
-            0.0
-        } else {
-            // Sum of per-core work, not makespan: a per-access cost metric.
-            self.per_core_cycles.iter().sum::<u64>() as f64 / self.n_accesses as f64
-        }
-    }
 }
 
 impl fmt::Display for SimReport {
@@ -137,7 +127,6 @@ mod tests {
         assert_eq!(r.total_cycles(), 100);
         assert_eq!(r.level_stats(1).unwrap().hits, 5);
         assert!(r.level_stats(2).is_none());
-        assert!((r.cycles_per_access() - 18.0).abs() < 1e-12);
         assert!(r.to_string().contains("L1"));
     }
 }

@@ -93,7 +93,7 @@ pub fn base_plus_assignment(
     machine: &Machine,
 ) -> Assignment {
     let n_cores = machine.n_cores();
-    let depth = space.points().first().map_or(1, Vec::len);
+    let depth = space.depth();
     let refs = space.max_refs_per_iteration();
     let t = tile_side(machine, depth, refs);
     let per_core = chunk_ranges(space.n_units(), n_cores)
@@ -105,10 +105,9 @@ pub fn base_plus_assignment(
             let spatial: Vec<u32> = {
                 let mut units: Vec<u32> = (r.start as u32..r.end as u32).collect();
                 units.sort_by_key(|&u| {
-                    let first = space.unit_members(u as usize)[0];
-                    let p = space.point(first as usize);
+                    let p = space.unit_point(u as usize);
                     let tile_key: Vec<i64> = p.iter().map(|&x| x.div_euclid(t)).collect();
-                    (tile_key, p.clone())
+                    (tile_key, p)
                 });
                 units
             };
@@ -261,13 +260,9 @@ mod tests {
         // t=4, the first 8 iterations are the (0,0) tile's rows 0-1 part:
         // (0,0..4) then (1,0..4).
         let order = plus.per_core()[0][0].iterations();
-        let pts: Vec<&ctam_poly::Point> = order.iter().map(|&i| s.point(i as usize)).collect();
-        assert_eq!(pts[0], &vec![0, 0]);
-        assert_eq!(
-            pts[4],
-            &vec![1, 0],
-            "tile must drain before next column block"
-        );
+        let pts: Vec<&[i64]> = order.iter().map(|&i| s.point(i as usize)).collect();
+        assert_eq!(pts[0], [0, 0]);
+        assert_eq!(pts[4], [1, 0], "tile must drain before next column block");
     }
 
     #[test]
@@ -292,7 +287,7 @@ mod tests {
         for groups in a.per_core() {
             for g in groups {
                 for &i in g.iterations() {
-                    assert_eq!(&s.tag_of(i as usize, &bm), g.tag());
+                    assert_eq!(&s.unit_tag(i as usize, &bm), g.tag());
                 }
             }
         }

@@ -89,15 +89,6 @@ impl BlockMap {
         self.n_blocks
     }
 
-    /// Number of blocks of one array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the array id is out of range.
-    pub fn blocks_of_array(&self, array: ArrayId) -> usize {
-        self.blocks_per_array[array.index()]
-    }
-
     /// The global block number containing flat element `element` of `array`.
     ///
     /// Byte offsets are taken from the element's position within its own
@@ -213,8 +204,8 @@ mod tests {
         let bm = BlockMap::new(&p, 2048);
         // A: 2 blocks, B: ceil(2400/2048) = 2 blocks.
         assert_eq!(bm.n_blocks(), 4);
-        assert_eq!(bm.blocks_of_array(a), 2);
-        assert_eq!(bm.blocks_of_array(b), 2);
+        assert_eq!(bm.block_of(a, 511), 1);
+        assert_eq!(bm.block_of(b, 299), 3);
         // B starts a fresh block even though A's last block had slack... (A
         // is exactly 2 blocks here; the invariant is positional:)
         assert_eq!(bm.block_of(b, 0), 2);
@@ -255,7 +246,7 @@ mod tests {
         let a = p.add_array("A", &[1], 8);
         let bm = BlockMap::new(&p, 2048);
         assert_eq!(bm.n_blocks(), 1);
-        assert_eq!(bm.blocks_of_array(a), 1);
+        assert_eq!(bm.block_of(a, 0), 0);
     }
 
     #[test]

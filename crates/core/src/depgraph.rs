@@ -36,6 +36,10 @@ impl GroupDepGraph {
     /// groups. For nests dominated by intra-unit dependences (e.g. a row
     /// reduction whose carried distances all sit below the unit prefix) this
     /// turns an `O(iterations × distances)` sweep into a no-op.
+    ///
+    /// Each remaining distance's sinks are found by one merge over the
+    /// space's points: they are in lexicographic order, and so are their
+    /// translates `I + d`.
     pub fn build(groups: &[IterationGroup], space: &IterationSpace, dep: &DependenceInfo) -> Self {
         let mut owner = vec![usize::MAX; space.n_units()];
         for (gi, g) in groups.iter().enumerate() {
@@ -46,27 +50,33 @@ impl GroupDepGraph {
         let mut succs = vec![BTreeSet::new(); groups.len()];
         let mut preds = vec![BTreeSet::new(); groups.len()];
         let prefix = space.unit_prefix();
-        let cross_unit: Vec<&Vec<i64>> = dep
+        let n = space.n_iterations();
+        let cross_unit = dep
             .distances()
             .iter()
-            .filter(|d| d[..prefix.min(d.len())].iter().any(|&x| x != 0))
-            .collect();
-        if !cross_unit.is_empty() {
+            .filter(|d| d[..prefix.min(d.len())].iter().any(|&x| x != 0));
+        for d in cross_unit {
+            // sink[i]: the iteration at point(i) + d, if it is in the domain.
+            let mut j = 0;
+            let sink: Vec<Option<usize>> = (0..n)
+                .map(|i| {
+                    let target = || space.point(i).iter().zip(d).map(|(p, q)| p + q);
+                    while j < n && space.point(j).iter().copied().lt(target()) {
+                        j += 1;
+                    }
+                    (j < n && space.point(j).iter().copied().eq(target())).then_some(j)
+                })
+                .collect();
             for (gi, g) in groups.iter().enumerate() {
-                for &u in g.iterations() {
-                    for &i in space.unit_members(u as usize) {
-                        let point = space.point(i as usize);
-                        for d in &cross_unit {
-                            let sink: Vec<i64> =
-                                point.iter().zip(d.iter()).map(|(p, q)| p + q).collect();
-                            if let Some(j) = space.index_of(&sink) {
-                                let gj = owner[space.unit_of(j)];
-                                if gj != usize::MAX && gj != gi {
-                                    succs[gi].insert(gj);
-                                    preds[gj].insert(gi);
-                                }
-                            }
-                        }
+                let members = g
+                    .iterations()
+                    .iter()
+                    .flat_map(|&u| space.unit_members(u as usize));
+                for j in members.filter_map(|i| sink[i]) {
+                    let gj = owner[space.unit_of(j)];
+                    if gj != usize::MAX && gj != gi {
+                        succs[gi].insert(gj);
+                        preds[gj].insert(gi);
                     }
                 }
             }
@@ -113,11 +123,6 @@ impl GroupDepGraph {
     /// Panics if `g` is out of range.
     pub fn succs(&self, g: usize) -> &BTreeSet<usize> {
         &self.succs[g]
-    }
-
-    /// True if an edge `src → dst` exists.
-    pub fn has_edge(&self, src: usize, dst: usize) -> bool {
-        self.succs[src].contains(&dst)
     }
 
     /// Adds an edge `src → dst` (`dst` depends on `src`). Useful for
@@ -242,10 +247,12 @@ pub fn condense(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::blocks::BlockMap;
     use crate::group::group_iterations;
-    use ctam_loopir::{dependence, ArrayRef, LoopNest, Program};
+    use ctam_loopir::{dependence, ArrayRef, LoopNest, NestId, Program};
     use ctam_poly::{AffineExpr, AffineMap, IntegerSet};
 
     /// A[i] = A[i-1]: a chain dependence with distance 1.
@@ -277,7 +284,7 @@ mod tests {
         assert!(!graph.is_edgeless());
         for g in 0..graph.len() - 1 {
             assert!(
-                graph.has_edge(g, g + 1),
+                graph.succs(g).contains(&(g + 1)),
                 "expected boundary edge {g} -> {}",
                 g + 1
             );
@@ -315,7 +322,10 @@ mod tests {
         let g0 = IterationGroup::new(Tag::from_bits(n_bits, [0]), odd_idx);
         let g1 = IterationGroup::new(Tag::from_bits(n_bits, [1]), even_idx);
         let graph = GroupDepGraph::build(&[g0.clone(), g1.clone()], &space, &dep);
-        assert!(graph.has_edge(0, 1) && graph.has_edge(1, 0), "mutual edges");
+        assert!(
+            graph.succs(0).contains(&1) && graph.succs(1).contains(&0),
+            "mutual edges"
+        );
         assert!(!graph.is_acyclic());
         let (merged, graph2) = condense(vec![g0, g1], &space, &dep);
         assert_eq!(merged.len(), 1);
@@ -323,6 +333,129 @@ mod tests {
         assert!(graph2.is_acyclic());
         // Merged tag is the OR.
         assert!(merged[0].tag().get(0) && merged[0].tag().get(1));
+    }
+
+    /// Reference builder: the same edge rule, with each sink looked up in a
+    /// hash map from points to iterations instead of found by the merge.
+    fn build_with_point_map(
+        groups: &[IterationGroup],
+        space: &IterationSpace,
+        dep: &DependenceInfo,
+    ) -> GroupDepGraph {
+        let index: HashMap<&[i64], usize> = (0..space.n_iterations())
+            .map(|i| (space.point(i), i))
+            .collect();
+        let mut owner = vec![usize::MAX; space.n_units()];
+        for (gi, g) in groups.iter().enumerate() {
+            for &u in g.iterations() {
+                owner[u as usize] = gi;
+            }
+        }
+        let prefix = space.unit_prefix();
+        let mut graph = GroupDepGraph::edgeless(groups.len());
+        for (gi, g) in groups.iter().enumerate() {
+            for &u in g.iterations() {
+                for i in space.unit_members(u as usize) {
+                    for d in dep.distances() {
+                        if d[..prefix].iter().all(|&x| x == 0) {
+                            continue;
+                        }
+                        let sink: Vec<i64> =
+                            space.point(i).iter().zip(d).map(|(p, q)| p + q).collect();
+                        if let Some(&j) = index.get(sink.as_slice()) {
+                            let gj = owner[space.unit_of(j)];
+                            if gj != usize::MAX && gj != gi {
+                                graph.add_edge(gi, gj);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        graph
+    }
+
+    /// A `depth`-loop nest over a triangular (`skew < 0`: each inner index
+    /// at most the next outer one) or skewed (`j` in `skew * i ..= skew * i
+    /// + n`) domain, writing `A[i][j]..` and reading `A[i - a][j + b]..`:
+    /// its distances have negative inner components whenever `b > 0`.
+    fn skewed_stencil(depth: usize, n: i64, skew: i64, a: i64, b: i64) -> (Program, NestId) {
+        let mut p = Program::new("s");
+        // Offset every subscript so no access is clamped.
+        let off = 4;
+        let arr = p.add_array("A", &vec![(3 * n + 2 * off) as u64; depth], 8);
+        let mut dom = IntegerSet::builder(depth).bounds(0, 0, n);
+        let var = |d| AffineExpr::var(depth, d);
+        for d in 1..depth {
+            dom = if skew < 0 {
+                dom.lower(d, 0).le_var(d, d - 1)
+            } else {
+                dom.ge(var(d) - var(d - 1).scaled(skew))
+                    .ge(var(d - 1).scaled(skew) + AffineExpr::constant(depth, n) - var(d))
+            };
+        }
+        let shifted = |shift: &dyn Fn(usize) -> i64| {
+            let exprs = (0..depth)
+                .map(|d| var(d) + AffineExpr::constant(depth, off + shift(d)))
+                .collect();
+            AffineMap::new(depth, exprs)
+        };
+        let nest = LoopNest::new("n", dom.build())
+            .with_ref(ArrayRef::write(arr, shifted(&|_| 0)))
+            .with_ref(ArrayRef::read(
+                arr,
+                shifted(&|d| if d == 0 { -a } else { b }),
+            ));
+        let id = p.add_nest(nest);
+        (p, id)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The merge finds the same edges as a point-map lookup on 2-D and
+        /// 3-D triangular and skewed nests with negative inner distances,
+        /// for every unit prefix, with group lists that omit some units and
+        /// list one unit twice (the verifier's malformed-schedule case).
+        #[test]
+        fn build_matches_point_map_lookup(
+            depth in 2usize..4,
+            n in 1i64..7,
+            skew in -1i64..3,
+            a in 0i64..3,
+            b in -2i64..3,
+            prefix_pick in 0usize..4,
+            picks in proptest::collection::vec(0usize..5, 4..40),
+            repeat in 0usize..1000,
+        ) {
+            let (p, id) = skewed_stencil(depth, n, skew, a, b);
+            let dep = dependence::analyze(&p, id);
+            let space = IterationSpace::build_units(&p, id, prefix_pick % (depth + 1));
+            // Four groups; a pick of 4 leaves the unit out.
+            let mut members: Vec<Vec<u32>> = vec![Vec::new(); 4];
+            for u in 0..space.n_units() {
+                if let Some(m) = members.get_mut(picks[u % picks.len()]) {
+                    m.push(u as u32);
+                }
+            }
+            members.retain(|m| !m.is_empty());
+            if members.len() > 1 {
+                let u = (repeat % space.n_units()) as u32;
+                let home = members.iter().position(|m| m.contains(&u)).unwrap_or(0);
+                let other_home = (home + 1) % members.len();
+                let other = &mut members[other_home];
+                other.push(u);
+                other.sort_unstable();
+            }
+            let groups: Vec<IterationGroup> = members
+                .into_iter()
+                .map(|m| IterationGroup::new(Tag::empty(1), m))
+                .collect();
+            proptest::prop_assert_eq!(
+                GroupDepGraph::build(&groups, &space, &dep),
+                build_with_point_map(&groups, &space, &dep)
+            );
+        }
     }
 
     #[test]

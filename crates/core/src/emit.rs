@@ -22,8 +22,8 @@ fn run_set(
     let space = &mapping.space;
     let prefix = space.unit_prefix();
     let dim = domain.dim();
-    let first_point = space.point(space.unit_members(first_unit)[0] as usize);
-    let last_point = space.point(space.unit_members(last_unit)[0] as usize);
+    let first_point = space.unit_point(first_unit);
+    let last_point = space.unit_point(last_unit);
     let mut set = domain.clone();
     if prefix == 1 || first_unit == last_unit {
         // Constrain the prefix dims: a range on dim 0 for 1-prefix units,

@@ -139,7 +139,7 @@ mod tests {
         let (_, s, bm) = space();
         for g in group_iterations(&s, &bm) {
             for &i in g.iterations() {
-                assert_eq!(&s.tag_of(i as usize, &bm), g.tag());
+                assert_eq!(&s.unit_tag(i as usize, &bm), g.tag());
             }
         }
     }

@@ -40,7 +40,7 @@
 //! use ctam_poly::{AffineMap, IntegerSet};
 //! use ctam_topology::catalog;
 //!
-//! # fn main() -> Result<(), ctam::pipeline::CtamError> {
+//! # fn main() -> Result<(), ctam::pipeline::PipelineError> {
 //! let mut program = Program::new("quickstart");
 //! let a = program.add_array("A", &[4096], 8);
 //! let domain = IntegerSet::builder(1).bounds(0, 0, 4095).build();
@@ -84,7 +84,7 @@ pub use emit::emit_core_code;
 pub use group::{group_iterations, IterationGroup};
 pub use metrics::MappingMetrics;
 pub use pipeline::{
-    evaluate, evaluate_ported, map_nest, CtamError, CtamParams, EvalResult, PipelineError, Strategy,
+    evaluate, evaluate_ported, map_nest, CtamParams, EvalResult, PipelineError, Strategy,
 };
 pub use schedule::{
     schedule_dependence_only, schedule_local, Schedule, ScheduleError, ScheduleWeights,

@@ -109,14 +109,6 @@ impl MappingMetrics {
             sharing_cost,
         }
     }
-
-    /// Replicated blocks at one level, if the machine has it.
-    pub fn replicated_at(&self, level: u8) -> Option<u64> {
-        self.replicated_per_level
-            .iter()
-            .find(|&&(l, _)| l == level)
-            .map(|&(_, r)| r)
-    }
 }
 
 impl fmt::Display for MappingMetrics {
@@ -199,8 +191,7 @@ mod tests {
             vec![g(&[2], 2, 6)],
         ]);
         let m = MappingMetrics::compute(&a, &quad());
-        assert_eq!(m.replicated_at(1), Some(1));
-        assert_eq!(m.replicated_at(2), Some(1));
+        assert_eq!(m.replicated_per_level, [(1, 1), (2, 1)]);
         // Same block on the same L2 pair instead: L2 replication disappears.
         let b = Assignment::from_per_core(vec![
             vec![g(&[0], 2, 0)],
@@ -209,8 +200,7 @@ mod tests {
             vec![g(&[2], 2, 6)],
         ]);
         let mb = MappingMetrics::compute(&b, &quad());
-        assert_eq!(mb.replicated_at(2), Some(0));
-        assert_eq!(mb.replicated_at(1), Some(1));
+        assert_eq!(mb.replicated_per_level, [(1, 1), (2, 0)]);
         assert!(mb.sharing_cost < m.sharing_cost);
     }
 

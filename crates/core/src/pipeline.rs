@@ -105,10 +105,6 @@ pub enum PipelineError {
     },
 }
 
-/// The pipeline error type's original name, kept as an alias for existing
-/// callers.
-pub type CtamError = PipelineError;
-
 impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -194,7 +190,7 @@ pub struct NestMapping {
 ///
 /// # Errors
 ///
-/// [`CtamError::Optimal`] when [`Strategy::Optimal`] is given an instance
+/// [`PipelineError::Optimal`] when [`Strategy::Optimal`] is given an instance
 /// with too many groups; otherwise backend-specific.
 pub fn map_nest(
     program: &Program,
@@ -202,7 +198,7 @@ pub fn map_nest(
     machine: &Machine,
     strategy: Strategy,
     params: &CtamParams,
-) -> Result<NestMapping, CtamError> {
+) -> Result<NestMapping, PipelineError> {
     // The paper distributes the iterations of the parallelized loop — the
     // outermost loop without carried dependencies (Anderson-style, Section
     // 4.1) — each carrying its whole inner sweep. Nests with no parallel
@@ -289,15 +285,13 @@ pub fn append_trace_for(
         for (core, groups) in round.iter().enumerate() {
             for g in groups {
                 for &u in g.iterations() {
-                    for &i in space.unit_members(u as usize) {
-                        for acc in space.accesses(i as usize) {
-                            let addr = program.address_of(acc.array, acc.element);
-                            let op = match acc.kind {
-                                AccessKind::Read => Op::Read,
-                                AccessKind::Write => Op::Write,
-                            };
-                            trace.push_access(core, addr, op);
-                        }
+                    for acc in space.unit_accesses(u as usize) {
+                        let addr = program.address_of(acc.array, acc.element);
+                        let op = match acc.kind {
+                            AccessKind::Read => Op::Read,
+                            AccessKind::Write => Op::Write,
+                        };
+                        trace.push_access(core, addr, op);
                     }
                 }
             }
@@ -327,13 +321,13 @@ impl EvalResult {
 ///
 /// # Errors
 ///
-/// Propagates mapping errors ([`CtamError::Optimal`]) and simulator errors.
+/// Propagates mapping errors ([`PipelineError::Optimal`]) and simulator errors.
 pub fn evaluate(
     program: &Program,
     machine: &Machine,
     strategy: Strategy,
     params: &CtamParams,
-) -> Result<EvalResult, CtamError> {
+) -> Result<EvalResult, PipelineError> {
     evaluate_ported(program, machine, machine, strategy, params)
 }
 
@@ -347,7 +341,7 @@ pub fn evaluate_cycles(
     machine: &Machine,
     strategy: Strategy,
     params: &CtamParams,
-) -> Result<u64, CtamError> {
+) -> Result<u64, PipelineError> {
     Ok(evaluate(program, machine, strategy, params)?.cycles())
 }
 
@@ -391,7 +385,7 @@ pub fn evaluate_ported(
     run_on: &Machine,
     strategy: Strategy,
     params: &CtamParams,
-) -> Result<EvalResult, CtamError> {
+) -> Result<EvalResult, PipelineError> {
     let foreign_host = tuned_for != run_on;
     let mut trace = MulticoreTrace::new(run_on.n_cores());
     let mut mappings = Vec::new();
@@ -648,6 +642,6 @@ mod tests {
             ..CtamParams::default()
         };
         let r = evaluate(&p, &m, Strategy::Optimal, &params);
-        assert!(matches!(r, Err(CtamError::Optimal(_))));
+        assert!(matches!(r, Err(PipelineError::Optimal(_))));
     }
 }

@@ -137,16 +137,6 @@ impl Schedule {
         self.n_cores
     }
 
-    /// The groups of one core across all rounds, in execution order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn core_order(&self, core: usize) -> Vec<&IterationGroup> {
-        assert!(core < self.n_cores, "core out of range");
-        self.rounds.iter().flat_map(|r| r[core].iter()).collect()
-    }
-
     /// Total iterations in the schedule.
     pub fn total_iterations(&self) -> usize {
         self.rounds
@@ -535,6 +525,11 @@ mod tests {
         b.build()
     }
 
+    /// The groups of one core across all rounds, in execution order.
+    fn core_order(sched: &Schedule, core: usize) -> Vec<&IterationGroup> {
+        sched.rounds().iter().flat_map(|r| r[core].iter()).collect()
+    }
+
     fn assignment4() -> Assignment {
         // Cross-core sharing within each L2 pair: core 0's groups overlap
         // core 1's ({0,2}·{2,4} = 1, {4,6}·{6,8} = 1), and likewise for the
@@ -558,7 +553,10 @@ mod tests {
         // Each core still executes exactly its own groups.
         for c in 0..4 {
             assert_eq!(
-                sched.core_order(c).iter().map(|g| g.size()).sum::<usize>(),
+                core_order(&sched, c)
+                    .iter()
+                    .map(|g| g.size())
+                    .sum::<usize>(),
                 8
             );
         }
@@ -658,7 +656,7 @@ mod tests {
             },
         )
         .unwrap();
-        let order = sched.core_order(0);
+        let order = core_order(&sched, 0);
         assert_eq!(order[0].iterations()[0], 0);
         assert_eq!(
             order[1].iterations()[0],
@@ -700,7 +698,7 @@ mod tests {
         let graph = GroupDepGraph::edgeless(1);
         let sched = schedule_local(a, &fig9(), &graph, ScheduleWeights::default()).unwrap();
         assert_eq!(sched.total_iterations(), 4);
-        assert!(sched.core_order(1).is_empty());
+        assert!(core_order(&sched, 1).is_empty());
     }
 
     #[test]

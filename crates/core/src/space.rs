@@ -1,11 +1,9 @@
 //! A concretized iteration space: enumerated points with their resolved
 //! element accesses, the working set the CTAM pass operates on.
 
-use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::ops::Range;
 
 use ctam_loopir::{ElementAccess, NestId, Program};
-use ctam_poly::Point;
 
 use crate::blocks::BlockMap;
 use crate::tag::Tag;
@@ -24,32 +22,45 @@ use crate::tag::Tag;
 /// unit); [`Self::build_units`] groups by an index prefix. All mapping
 /// machinery ([`crate::group`], [`crate::cluster`], [`crate::schedule`])
 /// works on unit ids; traces expand units back to points.
+///
+/// # Layout
+///
+/// Points are kept in enumeration (lexicographic) order with a fixed
+/// stride: `depth` coordinates per point, and `n_refs` accesses per point,
+/// since every point resolves each reference of the body exactly once.
+/// Units are contiguous runs of points, so a unit is a pair of offsets.
+/// There is no point index: a caller that needs `p + d` for a constant `d`
+/// finds it by merging over the ordered points, as
+/// [`crate::depgraph::GroupDepGraph::build`] does.
 #[derive(Debug, Clone)]
 pub struct IterationSpace {
     nest: NestId,
-    points: Vec<Point>,
-    accesses: Vec<Vec<ElementAccess>>,
-    /// Point → iteration index, built on the first [`Self::index_of`] call:
-    /// most spaces are never asked.
-    point_index: OnceLock<HashMap<Point, usize>>,
-    /// `units[u]`: the full-iteration indices of unit `u`, in lex order.
-    units: Vec<Vec<u32>>,
-    /// Inverse map: full iteration -> unit.
+    depth: usize,
+    /// `depth` coordinates per point, points in lexicographic order.
+    coords: Vec<i64>,
+    n_refs: usize,
+    /// `n_refs` accesses per point, each point's in body order.
+    accesses: Vec<ElementAccess>,
+    /// Unit `u` is points `unit_start[u]..unit_start[u + 1]`; the last
+    /// entry is the number of points.
+    unit_start: Vec<usize>,
+    /// Inverse map: point -> unit.
     unit_of: Vec<u32>,
     /// Number of leading index positions that define a unit.
     unit_prefix: usize,
 }
 
 /// Equality compares the defining fields (nest, unit prefix, points, unit
-/// partition); the access cache and point index are derived from them and
-/// the program, so comparing them again would be redundant. Two spaces are
-/// only meaningfully comparable when built from the same program.
+/// partition); the accesses and the point-to-unit map are derived from them
+/// and the program, so comparing them again would be redundant. Two spaces
+/// are only meaningfully comparable when built from the same program.
 impl PartialEq for IterationSpace {
     fn eq(&self, other: &Self) -> bool {
         self.nest == other.nest
             && self.unit_prefix == other.unit_prefix
-            && self.points == other.points
-            && self.units == other.units
+            && self.depth == other.depth
+            && self.coords == other.coords
+            && self.unit_start == other.unit_start
     }
 }
 
@@ -70,41 +81,35 @@ impl IterationSpace {
     ///
     /// Panics if `unit_prefix` exceeds the nest depth.
     pub fn build_units(program: &Program, nest: NestId, unit_prefix: usize) -> Self {
-        let depth = program.nest(nest).depth();
+        let loop_nest = program.nest(nest);
+        let depth = loop_nest.depth();
         assert!(unit_prefix <= depth, "unit prefix deeper than the nest");
-        let points = program.nest(nest).iterations();
-        let accesses: Vec<Vec<ElementAccess>> = points
-            .iter()
-            .map(|p| program.nest_accesses(nest, p))
-            .collect();
-        let mut units: Vec<Vec<u32>> = Vec::new();
-        let mut unit_of = Vec::with_capacity(points.len());
-        for (i, p) in points.iter().enumerate() {
-            let starts_new = match points.get(i.wrapping_sub(1)) {
-                Some(prev) if i > 0 => prev[..unit_prefix] != p[..unit_prefix],
-                _ => true,
-            };
-            if starts_new {
-                units.push(Vec::new());
-            }
-            let u = units.len() - 1;
-            units[u].push(i as u32);
-            unit_of.push(u as u32);
-        }
-        Self {
+        let mut space = Self {
             nest,
-            points,
-            accesses,
-            point_index: OnceLock::new(),
-            units,
-            unit_of,
+            depth,
+            coords: Vec::new(),
+            n_refs: loop_nest.refs().len(),
+            accesses: Vec::new(),
+            unit_start: Vec::new(),
+            unit_of: Vec::new(),
             unit_prefix,
+        };
+        for p in loop_nest.domain().iter() {
+            let i = space.unit_of.len();
+            if i == 0 || space.point(i - 1)[..unit_prefix] != p[..unit_prefix] {
+                space.unit_start.push(i);
+            }
+            space.unit_of.push((space.unit_start.len() - 1) as u32);
+            space.accesses.extend(program.nest_accesses(nest, &p));
+            space.coords.extend_from_slice(&p);
         }
+        space.unit_start.push(space.unit_of.len());
+        space
     }
 
     /// Number of mapping units.
     pub fn n_units(&self) -> usize {
-        self.units.len()
+        self.unit_start.len() - 1
     }
 
     /// The prefix length that defines units.
@@ -112,16 +117,36 @@ impl IterationSpace {
         self.unit_prefix
     }
 
-    /// The full-iteration indices of unit `u`, in lexicographic order.
+    /// The iteration indices of unit `u`, in lexicographic order.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
-    pub fn unit_members(&self, u: usize) -> &[u32] {
-        &self.units[u]
+    pub fn unit_members(&self, u: usize) -> Range<usize> {
+        self.unit_start[u]..self.unit_start[u + 1]
     }
 
-    /// The unit containing full iteration `i`.
+    /// The first (lexicographically least) point of unit `u`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    pub fn unit_point(&self, u: usize) -> &[i64] {
+        self.point(self.unit_start[u])
+    }
+
+    /// The element accesses of unit `u`: its members' accesses, member by
+    /// member in lexicographic order, each in body order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    pub fn unit_accesses(&self, u: usize) -> &[ElementAccess] {
+        let members = self.unit_members(u);
+        &self.accesses[members.start * self.n_refs..members.end * self.n_refs]
+    }
+
+    /// The unit containing iteration `i`.
     ///
     /// # Panics
     ///
@@ -130,17 +155,16 @@ impl IterationSpace {
         self.unit_of[i] as usize
     }
 
-    /// The tag of unit `u`: the union of its members' tags.
+    /// The tag of unit `u`: one bit per data block its members access
+    /// (Section 3.3).
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
     pub fn unit_tag(&self, u: usize, blocks: &BlockMap) -> Tag {
         let mut t = Tag::empty(blocks.n_blocks());
-        for &i in &self.units[u] {
-            for a in &self.accesses[i as usize] {
-                t.set(blocks.block_of(a.array, a.element));
-            }
+        for a in self.unit_accesses(u) {
+            t.set(blocks.block_of(a.array, a.element));
         }
         t
     }
@@ -150,14 +174,14 @@ impl IterationSpace {
         self.nest
     }
 
-    /// Number of iterations.
-    pub fn n_iterations(&self) -> usize {
-        self.points.len()
+    /// The nest depth: the number of coordinates of every point.
+    pub fn depth(&self) -> usize {
+        self.depth
     }
 
-    /// All iteration points in lexicographic order.
-    pub fn points(&self) -> &[Point] {
-        &self.points
+    /// Number of iterations.
+    pub fn n_iterations(&self) -> usize {
+        self.unit_of.len()
     }
 
     /// The point of iteration `i`.
@@ -165,38 +189,17 @@ impl IterationSpace {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn point(&self, i: usize) -> &Point {
-        &self.points[i]
-    }
-
-    /// The element accesses of iteration `i`, in body order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn accesses(&self, i: usize) -> &[ElementAccess] {
-        &self.accesses[i]
-    }
-
-    /// Index of an iteration point, if it is in the domain.
-    pub fn index_of(&self, point: &[i64]) -> Option<usize> {
-        self.point_index
-            .get_or_init(|| {
-                self.points
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (p.clone(), i))
-                    .collect()
-            })
-            .get(point)
-            .copied()
+    pub fn point(&self, i: usize) -> &[i64] {
+        &self.coords[i * self.depth..(i + 1) * self.depth]
     }
 
     /// The largest number of distinct elements any single iteration touches
     /// — the profile quantity behind block-size selection.
     pub fn max_refs_per_iteration(&self) -> usize {
+        // A body without references stores no accesses; `max(1)` keeps the
+        // chunk size legal for it.
         self.accesses
-            .iter()
+            .chunks(self.n_refs.max(1))
             .map(|a| {
                 let mut els: Vec<_> = a.iter().map(|e| (e.array, e.element)).collect();
                 els.sort_unstable();
@@ -206,34 +209,13 @@ impl IterationSpace {
             .max()
             .unwrap_or(0)
     }
-
-    /// The tag of iteration `i` under `blocks`: one bit per accessed data
-    /// block (Section 3.3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn tag_of(&self, i: usize, blocks: &BlockMap) -> Tag {
-        let mut t = Tag::empty(blocks.n_blocks());
-        for a in &self.accesses[i] {
-            t.set(blocks.block_of(a.array, a.element));
-        }
-        t
-    }
-
-    /// Tags of every iteration.
-    pub fn tags(&self, blocks: &BlockMap) -> Vec<Tag> {
-        (0..self.n_iterations())
-            .map(|i| self.tag_of(i, blocks))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ctam_loopir::{ArrayRef, LoopNest};
-    use ctam_poly::{AffineMap, IntegerSet};
+    use ctam_poly::{AffineExpr, AffineMap, IntegerSet};
 
     fn simple() -> (Program, NestId) {
         let mut p = Program::new("t");
@@ -249,36 +231,17 @@ mod tests {
         let (p, id) = simple();
         let s = IterationSpace::build(&p, id);
         assert_eq!(s.n_iterations(), 64);
-        assert_eq!(s.accesses(5)[0].element, 5);
-        assert_eq!(s.index_of(&[10]), Some(10));
-        assert_eq!(s.index_of(&[64]), None);
+        assert_eq!(s.depth(), 1);
+        assert_eq!(s.point(10), [10]);
+        assert_eq!(s.unit_accesses(5)[0].element, 5);
     }
 
     #[test]
-    fn lazy_point_index_survives_clones_and_stays_out_of_equality() {
-        let mut p = Program::new("t");
-        let a = p.add_array("A", &[8, 8], 8);
-        let d = IntegerSet::builder(2)
-            .bounds(0, 0, 7)
-            .bounds(1, 0, 7)
-            .build();
-        let id =
-            p.add_nest(LoopNest::new("n", d).with_ref(ArrayRef::read(a, AffineMap::identity(2))));
+    fn equality_compares_points_and_units() {
+        let (p, id) = grid(8);
         let fresh = IterationSpace::build_units(&p, id, 1);
-        let cold_clone = fresh.clone(); // cloned before the index exists
-        let probes: Vec<[i64; 2]> = vec![[0, 0], [3, 5], [7, 7], [8, 0], [-1, 2]];
-        let answers: Vec<_> = probes.iter().map(|q| fresh.index_of(q)).collect();
-        assert_eq!(answers, [Some(0), Some(29), Some(63), None, None]);
-        let warm_clone = fresh.clone(); // cloned after the index was built
-        for (q, want) in probes.iter().zip(&answers) {
-            assert_eq!(cold_clone.index_of(q), *want);
-            assert_eq!(warm_clone.index_of(q), *want);
-        }
-        // Equality looks at the defining fields only, whether or not a
-        // side has built its index.
-        let untouched = IterationSpace::build_units(&p, id, 1);
-        assert_eq!(untouched, fresh);
-        assert_eq!(fresh, untouched);
+        assert_eq!(fresh.clone(), fresh);
+        assert_eq!(IterationSpace::build_units(&p, id, 1), fresh);
         assert_ne!(IterationSpace::build_units(&p, id, 2), fresh);
     }
 
@@ -289,11 +252,10 @@ mod tests {
         // 64 elements x 8B = 512B; 128B blocks -> 4 blocks of 16 elements.
         let bm = BlockMap::new(&p, 128);
         assert_eq!(bm.n_blocks(), 4);
-        let t0 = s.tag_of(0, &bm);
-        let t16 = s.tag_of(16, &bm);
+        let t0 = s.unit_tag(0, &bm);
+        let t16 = s.unit_tag(16, &bm);
         assert!(t0.get(0) && !t0.get(1));
         assert!(t16.get(1) && !t16.get(0));
-        assert_eq!(s.tags(&bm).len(), 64);
     }
 
     #[test]
@@ -320,7 +282,7 @@ mod tests {
         let (p, id) = grid(4);
         let s = IterationSpace::build(&p, id);
         assert_eq!(s.n_units(), 16);
-        assert_eq!(s.unit_members(3), &[3]);
+        assert_eq!(s.unit_members(3), 3..4);
         assert_eq!(s.unit_of(7), 7);
     }
 
@@ -329,7 +291,8 @@ mod tests {
         let (p, id) = grid(4);
         let s = IterationSpace::build_units(&p, id, 1);
         assert_eq!(s.n_units(), 4);
-        assert_eq!(s.unit_members(1), &[4, 5, 6, 7]);
+        assert_eq!(s.unit_members(1), 4..8);
+        assert_eq!(s.unit_point(1), [1, 0]);
         assert_eq!(s.unit_of(6), 1);
         // Unit tag is the union of member tags.
         let bm = BlockMap::new(&p, 64); // 8 elements per block
@@ -337,8 +300,8 @@ mod tests {
         // Row 0 = elements 0..4: block 0 only.
         assert!(t.get(0) && !t.get(1));
         let t1 = s.unit_tag(2, &bm);
-        // Row 2 = elements 8..12: wait, row-major 4x4 -> elements 8..11,
-        // block 1 (elements 8..15).
+        // Row 2 of the row-major 4x4 array is elements 8..12, in block 1
+        // (elements 8..16).
         assert!(t1.get(1));
     }
 
@@ -355,5 +318,118 @@ mod tests {
     fn overlong_prefix_rejected() {
         let (p, id) = grid(3);
         let _ = IterationSpace::build_units(&p, id, 3);
+    }
+
+    /// A nest of `depth` loops over `0..=n` each, inner loops skewed by
+    /// `skew` times the next outer index (`skew < 0` makes them triangular:
+    /// `j <= i`), with `refs` references `A[i + k][..]` into a
+    /// `(n + 2)^depth` array; `n < 0` gives an empty domain.
+    fn random_nest(depth: usize, n: i64, skew: i64, refs: &[(bool, i64)]) -> (Program, NestId) {
+        let mut p = Program::new("r");
+        let extent = (n.max(0) + 2) as u64;
+        let a = p.add_array("A", &vec![extent; depth], 8);
+        let mut b = IntegerSet::builder(depth).bounds(0, 0, n);
+        for d in 1..depth {
+            b = if skew < 0 {
+                b.lower(d, 0).le_var(d, d - 1)
+            } else {
+                b.ge(AffineExpr::var(depth, d) - AffineExpr::var(depth, d - 1).scaled(skew))
+                    .ge(
+                        AffineExpr::var(depth, d - 1).scaled(skew) + AffineExpr::constant(depth, n)
+                            - AffineExpr::var(depth, d),
+                    )
+            };
+        }
+        let mut nest = LoopNest::new("n", b.build());
+        for &(write, k) in refs {
+            let mut exprs: Vec<AffineExpr> =
+                (0..depth).map(|d| AffineExpr::var(depth, d)).collect();
+            exprs[0] = exprs[0].clone() + AffineExpr::constant(depth, k);
+            let map = AffineMap::new(depth, exprs);
+            nest = nest.with_ref(if write {
+                ArrayRef::write(a, map)
+            } else {
+                ArrayRef::read(a, map)
+            });
+        }
+        let id = p.add_nest(nest);
+        (p, id)
+    }
+
+    /// Checks every accessor of the flat layout against a per-point rebuild
+    /// from the domain's enumeration and `nest_accesses`.
+    fn check_against_rebuild(
+        p: &Program,
+        id: NestId,
+        prefix: usize,
+    ) -> Result<(), proptest::TestCaseError> {
+        let s = IterationSpace::build_units(p, id, prefix);
+        let points: Vec<Vec<i64>> = p.nest(id).domain().iter().collect();
+        let accesses: Vec<Vec<ElementAccess>> = points
+            .iter()
+            .map(|q| p.nest_accesses(id, q).collect())
+            .collect();
+        let mut units: Vec<Vec<usize>> = Vec::new();
+        for (i, q) in points.iter().enumerate() {
+            match units.last_mut() {
+                Some(u) if points[u[0]][..prefix] == q[..prefix] => u.push(i),
+                _ => units.push(vec![i]),
+            }
+        }
+        proptest::prop_assert_eq!(s.n_iterations(), points.len());
+        proptest::prop_assert_eq!(s.n_units(), units.len());
+        for (i, q) in points.iter().enumerate() {
+            proptest::prop_assert_eq!(s.point(i), q.as_slice());
+        }
+        for (u, members) in units.iter().enumerate() {
+            proptest::prop_assert_eq!(s.unit_members(u).collect::<Vec<_>>(), members.clone());
+            proptest::prop_assert_eq!(s.unit_point(u), points[members[0]].as_slice());
+            let flat: Vec<ElementAccess> =
+                members.iter().flat_map(|&i| accesses[i].clone()).collect();
+            proptest::prop_assert_eq!(s.unit_accesses(u), flat.as_slice());
+            for &i in members {
+                proptest::prop_assert_eq!(s.unit_of(i), u);
+            }
+        }
+        let distinct = accesses.iter().map(|a| {
+            let mut els: Vec<_> = a.iter().map(|e| (e.array, e.element)).collect();
+            els.sort_unstable();
+            els.dedup();
+            els.len()
+        });
+        proptest::prop_assert_eq!(s.max_refs_per_iteration(), distinct.max().unwrap_or(0));
+        Ok(())
+    }
+
+    #[test]
+    fn empty_domains_and_bodies_match_rebuild() {
+        let cases = [
+            random_nest(2, -1, 0, &[(true, 0)]),
+            random_nest(2, 3, 1, &[]),
+            random_nest(3, -1, -1, &[]),
+        ];
+        for (p, id) in &cases {
+            for prefix in 0..=p.nest(*id).depth() {
+                check_against_rebuild(p, *id, prefix).unwrap();
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The flat layout matches the per-point rebuild on rectangular,
+        /// skewed and triangular nests of 1–3 loops, for every unit prefix.
+        #[test]
+        fn flat_layout_matches_per_point_rebuild(
+            depth in 1usize..4,
+            n in -1i64..6,
+            skew in -1i64..3,
+            refs in proptest::collection::vec((proptest::prop::bool::ANY, -1i64..2), 0..4),
+            prefix_pick in 0usize..4,
+        ) {
+            let (p, id) = random_nest(depth, n, skew, &refs);
+            check_against_rebuild(&p, id, prefix_pick % (depth + 1))?;
+        }
     }
 }

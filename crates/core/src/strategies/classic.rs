@@ -6,7 +6,7 @@
 use crate::baselines::{base_assignment, base_plus_assignment, local_assignment};
 use crate::cluster::{distribute, distribute_each, split_for_balance, LeafSplit};
 use crate::optimal::{optimal_assignment, OptimalOptions};
-use crate::pipeline::CtamError;
+use crate::pipeline::PipelineError;
 use crate::schedule::{schedule_dependence_only, schedule_local, Schedule};
 
 use super::{MappingContext, MappingStrategy};
@@ -19,7 +19,7 @@ impl MappingStrategy for Base {
         "Base"
     }
 
-    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), CtamError> {
+    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), PipelineError> {
         let a = base_assignment(&cx.space, &cx.blocks, cx.n_cores());
         let n = a.per_core().iter().map(Vec::len).sum();
         Ok((Schedule::single_round(a), n))
@@ -35,7 +35,7 @@ impl MappingStrategy for BasePlus {
         "Base+"
     }
 
-    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), CtamError> {
+    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), PipelineError> {
         let a = base_plus_assignment(&cx.space, &cx.blocks, cx.machine);
         let n = a.per_core().iter().map(Vec::len).sum();
         Ok((Schedule::single_round(a), n))
@@ -50,7 +50,7 @@ impl MappingStrategy for Local {
         "Local"
     }
 
-    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), CtamError> {
+    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), PipelineError> {
         let a = local_assignment(&cx.space, &cx.blocks, cx.n_cores());
         let (a, graph) = cx.acyclic(a);
         let n = a.per_core().iter().map(Vec::len).sum();
@@ -84,7 +84,7 @@ impl MappingStrategy for Topology {
         }
     }
 
-    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), CtamError> {
+    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), PipelineError> {
         let groups = cx.condensed_groups();
         // Try both last-level split policies (separate vs constructive
         // interleave, Figure 3a vs 3b) and keep whichever measures faster
@@ -124,7 +124,7 @@ impl MappingStrategy for Optimal {
         "Optimal"
     }
 
-    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), CtamError> {
+    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), PipelineError> {
         let groups = cx.condensed_groups();
         // The exact search assigns whole groups; split oversized ones so a
         // balanced assignment exists (as an ILP formulation would require

@@ -37,7 +37,7 @@ use crate::blocks::{choose_block_size, BlockMap};
 use crate::cluster::Assignment;
 use crate::depgraph::{condense, GroupDepGraph};
 use crate::group::{group_iterations, IterationGroup};
-use crate::pipeline::{append_trace_for, CtamError, CtamParams, NestMapping};
+use crate::pipeline::{append_trace_for, CtamParams, NestMapping, PipelineError};
 use crate::schedule::{flatten_assignment, Schedule};
 use crate::space::IterationSpace;
 
@@ -189,7 +189,7 @@ impl<'a> MappingContext<'a> {
     ///
     /// # Errors
     ///
-    /// [`CtamError::Sim`] if the simulator rejects a generated trace (a
+    /// [`PipelineError::Sim`] if the simulator rejects a generated trace (a
     /// pipeline bug if it ever surfaces).
     ///
     /// # Panics
@@ -198,7 +198,7 @@ impl<'a> MappingContext<'a> {
     pub fn measure_candidates(
         &mut self,
         candidates: Vec<(Schedule, usize)>,
-    ) -> Result<(Schedule, usize), CtamError> {
+    ) -> Result<(Schedule, usize), PipelineError> {
         assert!(
             !candidates.is_empty(),
             "measure_candidates needs at least one candidate"
@@ -241,8 +241,8 @@ pub trait MappingStrategy: Sync {
     ///
     /// # Errors
     ///
-    /// Backend-specific; see [`CtamError`].
-    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), CtamError>;
+    /// Backend-specific; see [`PipelineError`].
+    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), PipelineError>;
 }
 
 /// The registered code versions — the paper's Section 4 comparison set plus

@@ -14,7 +14,7 @@
 use crate::baselines::{chunk_ranges, union_tag};
 use crate::cluster::Assignment;
 use crate::group::IterationGroup;
-use crate::pipeline::CtamError;
+use crate::pipeline::PipelineError;
 use crate::schedule::{schedule_dependence_only, Schedule};
 use crate::space::IterationSpace;
 
@@ -33,7 +33,7 @@ impl MappingStrategy for Pcot {
         "PCOT"
     }
 
-    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), CtamError> {
+    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), PipelineError> {
         let order = recursive_order(&cx.space);
         let per_core: Vec<Vec<IterationGroup>> = chunk_ranges(order.len(), cx.n_cores())
             .into_iter()
@@ -69,7 +69,7 @@ fn bisect(units: &mut [u32], space: &IterationSpace) {
         return;
     }
     // A unit is represented by its first (lexicographically least) point.
-    let rep = |u: u32| space.point(space.unit_members(u as usize)[0] as usize);
+    let rep = |u: u32| space.unit_point(u as usize);
     let dims = rep(units[0]).len();
     let mut widest = 0usize;
     let mut width = -1i64;
@@ -137,9 +137,9 @@ mod tests {
         // the first half of the order stays on one side.
         let (_, s) = grid(16);
         let order = recursive_order(&s);
-        let half: Vec<&ctam_poly::Point> = order[..128]
+        let half: Vec<&[i64]> = order[..128]
             .iter()
-            .map(|&u| s.point(s.unit_members(u as usize)[0] as usize))
+            .map(|&u| s.unit_point(u as usize))
             .collect();
         let d = {
             // Whichever dimension the first cut used, all first-half points
@@ -159,10 +159,7 @@ mod tests {
         // successive order entries stays small.
         let (_, s) = grid(32);
         let order = recursive_order(&s);
-        let pts: Vec<&ctam_poly::Point> = order
-            .iter()
-            .map(|&u| s.point(s.unit_members(u as usize)[0] as usize))
-            .collect();
+        let pts: Vec<&[i64]> = order.iter().map(|&u| s.unit_point(u as usize)).collect();
         let mean: f64 = pts
             .windows(2)
             .map(|w| {

@@ -19,7 +19,7 @@ use ctam_topology::{Machine, NodeId};
 use crate::baselines::chunk_ranges;
 use crate::cluster::{split_for_balance, Assignment};
 use crate::group::IterationGroup;
-use crate::pipeline::CtamError;
+use crate::pipeline::PipelineError;
 use crate::schedule::{schedule_dependence_only, Schedule};
 
 use super::{MappingContext, MappingStrategy};
@@ -38,7 +38,7 @@ impl MappingStrategy for TreeMatch {
         "TreeMatch"
     }
 
-    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), CtamError> {
+    fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), PipelineError> {
         // TreeMatch assigns whole objects; split oversized groups first so
         // a balanced matching exists (the same preparation the exact
         // mapper applies — at coarse block sizes a handful of huge groups

@@ -283,15 +283,13 @@ fn recompute_footprints(
                     if (u as usize) >= space.n_units() {
                         continue; // malformed schedules are the verifier's job
                     }
-                    for &i in space.unit_members(u as usize) {
-                        for a in space.accesses(i as usize) {
-                            let lo = program.address_of(a.array, a.element);
-                            let hi = lo + u64::from(program.array(a.array).elem_bytes());
-                            touch_raw[r][c].push((lo, hi));
-                            if a.kind == AccessKind::Write {
-                                write[r][c].set(blocks.block_of(a.array, a.element));
-                                write_raw[r][c].push((lo, hi));
-                            }
+                    for a in space.unit_accesses(u as usize) {
+                        let lo = program.address_of(a.array, a.element);
+                        let hi = lo + u64::from(program.array(a.array).elem_bytes());
+                        touch_raw[r][c].push((lo, hi));
+                        if a.kind == AccessKind::Write {
+                            write[r][c].set(blocks.block_of(a.array, a.element));
+                            write_raw[r][c].push((lo, hi));
                         }
                     }
                 }

@@ -124,8 +124,7 @@ fn symbolic_proof(dep: &DependenceInfo, space: &IterationSpace, flat: &FlatSched
     let n_units = space.n_units();
     let mut unit_at: HashMap<&[i64], usize> = HashMap::with_capacity(n_units);
     for u in 0..n_units {
-        let first = space.unit_members(u)[0] as usize;
-        unit_at.insert(&space.point(first)[..prefix], u);
+        unit_at.insert(&space.unit_point(u)[..prefix], u);
     }
     let mut placement: Vec<Option<(usize, usize)>> = vec![None; n_units];
     for &(r, core, _, g) in &flat.entries {
@@ -141,8 +140,7 @@ fn symbolic_proof(dep: &DependenceInfo, space: &IterationSpace, flat: &FlatSched
         let Some((round, core)) = placement[u] else {
             continue; // unmapped: the coverage check reports it
         };
-        let first = space.unit_members(u)[0] as usize;
-        let p = &space.point(first)[..prefix];
+        let p = &space.unit_point(u)[..prefix];
         for delta in &deltas {
             for sign in [1i64, -1] {
                 for (t, (&pv, &dv)) in target.iter_mut().zip(p.iter().zip(delta)) {
@@ -270,35 +268,33 @@ pub(super) fn check(
                 if u as usize >= n_units {
                     continue; // reported by the coverage check
                 }
-                for &i in space.unit_members(u as usize) {
-                    for acc in space.accesses(i as usize) {
-                        let is_write = acc.kind == AccessKind::Write;
-                        let entry = seen
-                            .entry((acc.array, acc.element))
-                            .or_insert((core, false));
-                        let conflict = entry.0 != core && (entry.1 || is_write);
-                        entry.1 |= is_write;
-                        if conflict {
-                            let block = blocks.block_of(acc.array, acc.element);
-                            if reported.insert((acc.array, block)) {
-                                diags.push(
-                                    Diagnostic::new(
-                                        Code::RaceOnBlock,
-                                        format!(
-                                            "cores {} and {core} access element {} of \
-                                             {} (data block {block}) in the same round \
-                                             with a write and no barrier between them",
-                                            entry.0,
-                                            acc.element,
-                                            program.array(acc.array).name(),
-                                        ),
-                                    )
-                                    .with_nest(nest)
-                                    .with_group(gid)
-                                    .with_round(round)
-                                    .with_core(core),
-                                );
-                            }
+                for acc in space.unit_accesses(u as usize) {
+                    let is_write = acc.kind == AccessKind::Write;
+                    let entry = seen
+                        .entry((acc.array, acc.element))
+                        .or_insert((core, false));
+                    let conflict = entry.0 != core && (entry.1 || is_write);
+                    entry.1 |= is_write;
+                    if conflict {
+                        let block = blocks.block_of(acc.array, acc.element);
+                        if reported.insert((acc.array, block)) {
+                            diags.push(
+                                Diagnostic::new(
+                                    Code::RaceOnBlock,
+                                    format!(
+                                        "cores {} and {core} access element {} of \
+                                         {} (data block {block}) in the same round \
+                                         with a write and no barrier between them",
+                                        entry.0,
+                                        acc.element,
+                                        program.array(acc.array).name(),
+                                    ),
+                                )
+                                .with_nest(nest)
+                                .with_group(gid)
+                                .with_round(round)
+                                .with_core(core),
+                            );
                         }
                     }
                 }

@@ -33,7 +33,8 @@ impl ArrayDecl {
     ///
     /// # Panics
     ///
-    /// Panics if `dims` is empty, any extent is zero, or `elem_bytes` is 0.
+    /// Panics if `dims` is empty, any extent is zero, `elem_bytes` is 0, or
+    /// the size in bytes overflows `u64`.
     pub fn new(name: &str, dims: &[u64], elem_bytes: u32) -> Self {
         assert!(!dims.is_empty(), "array must have at least one dimension");
         assert!(
@@ -41,6 +42,10 @@ impl ArrayDecl {
             "array extents must be positive"
         );
         assert!(elem_bytes > 0, "element size must be positive");
+        assert!(
+            checked_size_bytes(dims, elem_bytes).is_some(),
+            "array size overflows u64"
+        );
         Self {
             name: name.to_owned(),
             dims: dims.to_vec(),
@@ -87,16 +92,26 @@ impl ArrayDecl {
     /// Out-of-bounds indices are clamped into the array (subscripts produced
     /// by boundary iterations of stencil kernels may step one element out;
     /// clamping models the halo padding such codes allocate).
-    pub fn flatten(&self, index: &[i64]) -> u64 {
-        assert_eq!(index.len(), self.dims.len(), "subscript arity mismatch");
-        let mut flat: u64 = 0;
-        for (d, &i) in index.iter().enumerate() {
-            let extent = self.dims[d];
-            let clamped = i.clamp(0, extent as i64 - 1) as u64;
-            flat = flat * extent + clamped;
-        }
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not yield exactly one value per dimension.
+    pub fn flatten(&self, index: impl IntoIterator<Item = i64>) -> u64 {
+        let mut index = index.into_iter();
+        let flat = self.dims.iter().fold(0, |flat, &extent| {
+            let i = index.next().expect("subscript arity mismatch");
+            flat * extent + (i.max(0) as u64).min(extent - 1)
+        });
+        assert!(index.next().is_none(), "subscript arity mismatch");
         flat
     }
+}
+
+/// The size in bytes of an array of `dims` and `elem_bytes`-byte elements,
+/// or `None` if it overflows `u64`.
+pub(crate) fn checked_size_bytes(dims: &[u64], elem_bytes: u32) -> Option<u64> {
+    dims.iter()
+        .try_fold(u64::from(elem_bytes), |size, &d| size.checked_mul(d))
 }
 
 #[cfg(test)]
@@ -106,10 +121,10 @@ mod tests {
     #[test]
     fn row_major_flattening() {
         let a = ArrayDecl::new("A", &[4, 5], 8);
-        assert_eq!(a.flatten(&[0, 0]), 0);
-        assert_eq!(a.flatten(&[0, 4]), 4);
-        assert_eq!(a.flatten(&[1, 0]), 5);
-        assert_eq!(a.flatten(&[3, 4]), 19);
+        assert_eq!(a.flatten([0, 0]), 0);
+        assert_eq!(a.flatten([0, 4]), 4);
+        assert_eq!(a.flatten([1, 0]), 5);
+        assert_eq!(a.flatten([3, 4]), 19);
     }
 
     #[test]
@@ -122,8 +137,26 @@ mod tests {
     #[test]
     fn out_of_bounds_clamps() {
         let a = ArrayDecl::new("A", &[4, 4], 8);
-        assert_eq!(a.flatten(&[-1, 0]), a.flatten(&[0, 0]));
-        assert_eq!(a.flatten(&[5, 3]), a.flatten(&[3, 3]));
+        assert_eq!(a.flatten([-1, 0]), a.flatten([0, 0]));
+        assert_eq!(a.flatten([5, 3]), a.flatten([3, 3]));
+    }
+
+    #[test]
+    #[should_panic(expected = "arity mismatch")]
+    fn short_subscript_rejected() {
+        let _ = ArrayDecl::new("A", &[4, 4], 8).flatten([1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arity mismatch")]
+    fn long_subscript_rejected() {
+        let _ = ArrayDecl::new("A", &[4, 4], 8).flatten([1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64")]
+    fn oversized_array_rejected() {
+        let _ = ArrayDecl::new("A", &[1 << 32, 1 << 32], 8);
     }
 
     #[test]

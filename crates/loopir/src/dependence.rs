@@ -44,18 +44,6 @@ use crate::indices::IndexFacts;
 use crate::nest::{AccessKind, NestId, Subscript};
 use crate::program::Program;
 
-/// Comparison of one distance-vector component, for direction-vector style
-/// queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Direction {
-    /// Component `< 0`.
-    Lt,
-    /// Component `== 0`.
-    Eq,
-    /// Component `> 0`.
-    Gt,
-}
-
 /// The dependence structure of one loop nest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DependenceInfo {
@@ -97,17 +85,6 @@ impl DependenceInfo {
     pub fn outermost_parallel(&self) -> Option<usize> {
         let carried = self.carried_levels();
         (0..self.depth).find(|l| !carried.contains(l))
-    }
-
-    /// The direction vector of one distance vector.
-    pub fn direction_of(d: &[i64]) -> Vec<Direction> {
-        d.iter()
-            .map(|&x| match x.signum() {
-                -1 => Direction::Lt,
-                0 => Direction::Eq,
-                _ => Direction::Gt,
-            })
-            .collect()
     }
 }
 
@@ -756,7 +733,7 @@ fn enumerate_pairs(
     // element (array, flat) -> list of (iteration index, ref index)
     let mut touched: HashMap<(usize, u64), Vec<(usize, usize)>> = HashMap::new();
     for (it_idx, point) in iterations.iter().enumerate() {
-        for (ref_idx, acc) in program.nest_accesses(nest, point).into_iter().enumerate() {
+        for (ref_idx, acc) in program.nest_accesses(nest, point).enumerate() {
             if involved.contains(&ref_idx) {
                 touched
                     .entry((acc.array.index(), acc.element))
@@ -1116,14 +1093,6 @@ mod tests {
         );
         let info = analyze(&p, id);
         assert!(info.is_fully_parallel());
-    }
-
-    #[test]
-    fn direction_vectors() {
-        assert_eq!(
-            DependenceInfo::direction_of(&[0, 2, -1]),
-            vec![Direction::Eq, Direction::Gt, Direction::Lt]
-        );
     }
 
     #[test]

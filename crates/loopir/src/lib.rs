@@ -38,8 +38,8 @@
 //!     .with_ref(ArrayRef::new(a, Subscript::Affine(subscript), AccessKind::Read));
 //! let nest_id = prog.add_nest(nest);
 //! // Iteration (0, 2) reads A[1][1], flat element 1*8 + 1 = 9.
-//! let accesses = prog.nest_accesses(nest_id, &[0, 2]);
-//! assert_eq!(accesses[0].element, 9);
+//! let access = prog.nest_accesses(nest_id, &[0, 2]).next().unwrap();
+//! assert_eq!(access.element, 9);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,7 +55,7 @@ mod program;
 
 pub use array::{ArrayDecl, ArrayId};
 pub use dependence::{
-    analyze_nest, DependenceInfo, Direction, LevelCarriers, NestAnalysis, PairMethod, PairSummary,
+    analyze_nest, DependenceInfo, LevelCarriers, NestAnalysis, PairMethod, PairSummary,
     ParallelismReport,
 };
 pub use indices::{FactViolation, IndexFacts};

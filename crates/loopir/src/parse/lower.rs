@@ -158,7 +158,8 @@ fn lower_nest(
 /// # Errors
 ///
 /// [`ParseError`] on undeclared arrays, subscript arity mismatches,
-/// non-affine expressions, or duplicate declarations.
+/// non-affine expressions, duplicate declarations, or arrays whose size in
+/// bytes, or the cache-line-aligned end of the data layout, overflows `u64`.
 pub fn lower(ast: &AstProgram) -> Result<Program, ParseError> {
     let mut program = Program::new(&ast.name);
     let mut arrays: HashMap<&str, (ArrayId, usize)> = HashMap::new();
@@ -166,6 +167,13 @@ pub fn lower(ast: &AstProgram) -> Result<Program, ParseError> {
         if arrays.contains_key(a.name.as_str()) {
             return Err(ParseError::new(
                 format!("array '{}' declared twice", a.name),
+                1,
+                1,
+            ));
+        }
+        if !program.fits(&a.dims, a.elem_bytes) {
+            return Err(ParseError::new(
+                format!("array '{}' does not fit in a 64-bit data space", a.name),
                 1,
                 1,
             ));
@@ -189,6 +197,21 @@ mod tests {
         let err =
             parse_program("program p { array A[4] : 8; array A[4] : 8; }").expect_err("duplicate");
         assert!(err.message.contains("twice"));
+    }
+
+    #[test]
+    fn arrays_past_the_u64_data_space_rejected() {
+        for src in [
+            "program p { array A[4294967296][4294967296] : 8; \
+             for n (i = 0 .. 3) { A[i][i] = A[i][i]; } }",
+            "program p { array A[9223372036854775807] : 8; for n (i = 0 .. 3) { A[i] = A[i]; } }",
+            // Each array fits, but the layout ends at 2^64.
+            "program p { array A[1152921504606846976] : 8; array B[1152921504606846976] : 8; \
+             for n (i = 0 .. 3) { A[i] = B[i]; } }",
+        ] {
+            let err = parse_program(src).expect_err(src);
+            assert!(err.message.contains("64-bit data space"), "{err}");
+        }
     }
 
     #[test]

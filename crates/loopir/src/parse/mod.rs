@@ -124,8 +124,8 @@ mod tests {
         assert_eq!(nest.depth(), 2);
         assert_eq!(nest.n_iterations(), 9 * 10);
         // Iteration (0, 2) writes and reads A[1][1] = element 13.
-        let acc = p.nest_accesses(id, &[0, 2]);
-        assert_eq!(acc[0].element, 12 + 1);
+        let acc = p.nest_accesses(id, &[0, 2]).next().unwrap();
+        assert_eq!(acc.element, 12 + 1);
     }
 
     #[test]
@@ -143,7 +143,7 @@ mod tests {
         let (id, nest) = p.nests().next().unwrap();
         // += desugars to write + read of the same element.
         assert_eq!(nest.refs().len(), 2);
-        let acc = p.nest_accesses(id, &[3]);
+        let acc: Vec<_> = p.nest_accesses(id, &[3]).collect();
         assert!(acc.iter().any(|a| a.kind == crate::AccessKind::Write));
         assert!(acc.iter().any(|a| a.kind == crate::AccessKind::Read));
     }
@@ -203,7 +203,7 @@ mod tests {
         )
         .unwrap();
         let (id, _) = p.nests().next().unwrap();
-        assert_eq!(p.nest_accesses(id, &[2])[0].element, 19);
+        assert_eq!(p.nest_accesses(id, &[2]).next().unwrap().element, 19);
     }
 
     #[test]

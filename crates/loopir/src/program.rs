@@ -1,6 +1,6 @@
 //! A whole program: arrays plus loop nests, with a flat data layout.
 
-use crate::array::{ArrayDecl, ArrayId};
+use crate::array::{checked_size_bytes, ArrayDecl, ArrayId};
 use crate::nest::{ElementAccess, LoopNest, NestId, Subscript};
 
 /// Alignment of each array's base address (one cache line, so arrays never
@@ -39,15 +39,16 @@ impl Program {
 
     /// Declares an array and returns its id. Arrays are laid out in
     /// declaration order, each base aligned to a cache line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ArrayDecl::new`] rejects the declaration, or if the end of
+    /// the data layout, aligned to a cache line, would overflow `u64`.
     pub fn add_array(&mut self, name: &str, dims: &[u64], elem_bytes: u32) -> ArrayId {
         let decl = ArrayDecl::new(name, dims, elem_bytes);
-        let base = self
-            .bases
-            .last()
-            .zip(self.arrays.last())
-            .map(|(&b, a)| (b + a.size_bytes()).div_ceil(ARRAY_ALIGN) * ARRAY_ALIGN)
-            .unwrap_or(0);
-        self.bases.push(base);
+        assert!(self.fits(dims, elem_bytes), "data layout overflows u64");
+        self.bases
+            .push(self.total_data_bytes().next_multiple_of(ARRAY_ALIGN));
         self.arrays.push(decl);
         ArrayId(self.arrays.len() - 1)
     }
@@ -102,6 +103,15 @@ impl Program {
         self.bases[array.0]
     }
 
+    /// True if an array of `dims` and `elem_bytes`-byte elements, declared
+    /// next, keeps the cache-line-aligned end of the layout within `u64`.
+    pub(crate) fn fits(&self, dims: &[u64], elem_bytes: u32) -> bool {
+        let base = self.total_data_bytes().next_multiple_of(ARRAY_ALIGN);
+        let end = checked_size_bytes(dims, elem_bytes).and_then(|size| base.checked_add(size));
+        end.and_then(|end| end.checked_next_multiple_of(ARRAY_ALIGN))
+            .is_some()
+    }
+
     /// Total extent of the data space in bytes (including alignment gaps).
     pub fn total_data_bytes(&self) -> u64 {
         self.bases
@@ -117,34 +127,31 @@ impl Program {
     }
 
     /// Evaluates every reference of `nest` at iteration `point`, yielding
-    /// concrete element accesses in body order.
+    /// concrete element accesses in body order without allocating.
     ///
     /// # Panics
     ///
-    /// Panics if `point`'s arity differs from the nest depth.
-    pub fn nest_accesses(&self, nest: NestId, point: &[i64]) -> Vec<ElementAccess> {
-        let n = self.nest(nest);
-        n.refs()
-            .iter()
-            .map(|r| {
-                let element = match r.subscript() {
-                    Subscript::Affine(m) => {
-                        let idx = m.apply(point);
-                        self.array(r.array()).flatten(&idx)
-                    }
-                    Subscript::Indirect { selector, table } => {
-                        let sel = selector.eval(point).rem_euclid(table.len() as i64);
-                        let raw = table[sel as usize];
-                        raw % self.array(r.array()).n_elements()
-                    }
-                };
-                ElementAccess {
-                    array: r.array(),
-                    element,
-                    kind: r.kind(),
+    /// The iterator panics if `point`'s arity differs from the nest depth.
+    pub fn nest_accesses<'a>(
+        &'a self,
+        nest: NestId,
+        point: &'a [i64],
+    ) -> impl Iterator<Item = ElementAccess> + 'a {
+        self.nest(nest).refs().iter().map(move |r| {
+            let array = self.array(r.array());
+            let element = match r.subscript() {
+                Subscript::Affine(m) => array.flatten(m.exprs().iter().map(|e| e.eval(point))),
+                Subscript::Indirect { selector, table } => {
+                    let sel = selector.eval(point).rem_euclid(table.len() as i64);
+                    table[sel as usize] % array.n_elements()
                 }
-            })
-            .collect()
+            };
+            ElementAccess {
+                array: r.array(),
+                element,
+                kind: r.kind(),
+            }
+        })
     }
 }
 
@@ -182,7 +189,7 @@ mod tests {
         );
         let nest = LoopNest::new("n", d).with_ref(ArrayRef::read(a, m));
         let id = p.add_nest(nest);
-        let acc = p.nest_accesses(id, &[2, 3]);
+        let acc: Vec<_> = p.nest_accesses(id, &[2, 3]).collect();
         assert_eq!(acc.len(), 1);
         assert_eq!(acc[0].element, 3 * 8 + 3); // A[3][3]
         assert_eq!(acc[0].kind, AccessKind::Read);
@@ -202,8 +209,17 @@ mod tests {
             AccessKind::Read,
         ));
         let id = p.add_nest(nest);
-        assert_eq!(p.nest_accesses(id, &[1])[0].element, 42);
-        assert_eq!(p.nest_accesses(id, &[2])[0].element, 7);
+        let element = |i| p.nest_accesses(id, &[i]).next().unwrap().element;
+        assert_eq!(element(1), 42);
+        assert_eq!(element(2), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "data layout overflows u64")]
+    fn layout_past_u64_rejected() {
+        let mut p = Program::new("t");
+        let _ = p.add_array("A", &[1 << 60], 8);
+        let _ = p.add_array("B", &[1 << 60], 8);
     }
 
     #[test]

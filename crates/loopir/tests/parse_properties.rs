@@ -86,8 +86,8 @@ proptest! {
         prop_assert_eq!(pnest.refs().len(), bnest.refs().len());
         for i in [0, (g.extent / 2).max(0), g.extent - 1] {
             prop_assert_eq!(
-                parsed.nest_accesses(pid, &[i]),
-                built.nest_accesses(bid, &[i]),
+                parsed.nest_accesses(pid, &[i]).collect::<Vec<_>>(),
+                built.nest_accesses(bid, &[i]).collect::<Vec<_>>(),
                 "iteration {}", i
             );
         }

@@ -113,15 +113,6 @@ impl AffineExpr {
         self.coeffs.iter().all(|&c| c == 0)
     }
 
-    /// Returns a copy with variable `var` fixed to `value` (the variable's
-    /// coefficient is folded into the constant and zeroed).
-    pub fn substitute(&self, var: usize, value: i64) -> Self {
-        let mut out = self.clone();
-        out.constant += out.coeffs[var] * value;
-        out.coeffs[var] = 0;
-        out
-    }
-
     /// Returns a copy scaled by `k`.
     pub fn scaled(&self, k: i64) -> Self {
         Self {
@@ -274,14 +265,6 @@ mod tests {
         assert_eq!(e.coeff(0), 2);
         assert_eq!(e.coeff(1), -3);
         assert_eq!(e.constant_term(), 5);
-    }
-
-    #[test]
-    fn substitute_folds_into_constant() {
-        let e = AffineExpr::new(vec![2, -1], 1); // 2a - b + 1
-        let s = e.substitute(0, 3); // -b + 7
-        assert_eq!(s.coeff(0), 0);
-        assert_eq!(s.eval(&[0, 2]), 5);
     }
 
     #[test]

@@ -140,22 +140,6 @@ impl IntegerSet {
         &self.names
     }
 
-    /// Returns a copy with the given dimension names.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of names differs from `dim()`.
-    pub fn with_names<I, S>(mut self, names: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let names: Vec<String> = names.into_iter().map(Into::into).collect();
-        assert_eq!(names.len(), self.dim, "expected {} names", self.dim);
-        self.names = names;
-        self
-    }
-
     /// The constraints defining the set.
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
@@ -223,11 +207,6 @@ impl IntegerSet {
     /// Counts the integer points (enumerates; intended for bounded sets).
     pub fn point_count(&self) -> usize {
         self.iter().count()
-    }
-
-    /// The lexicographically smallest point, if any.
-    pub fn lexmin(&self) -> Option<Point> {
-        self.iter().next()
     }
 
     /// Per-dimension integer bounding box `[(lo, hi); dim]`, or `None` if the
@@ -544,18 +523,11 @@ mod tests {
     }
 
     #[test]
-    fn lexmin_is_first_point() {
-        let tri = IntegerSet::builder(2)
-            .bounds(0, 2, 9)
-            .lower(1, 1)
-            .le_var(1, 0)
-            .build();
-        assert_eq!(tri.lexmin(), Some(vec![2, 1]));
-    }
-
-    #[test]
     fn debug_format_mentions_names() {
-        let s = rect(2, 2).with_names(["i", "j"]);
+        let s = IntegerSet::builder(2)
+            .names(["i", "j"])
+            .bounds(0, 0, 1)
+            .build();
         let d = format!("{s:?}");
         assert!(d.contains('i') && d.contains('j'), "{d}");
     }

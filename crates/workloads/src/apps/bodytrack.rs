@@ -104,7 +104,6 @@ mod tests {
         let reg_of = |i: i64| -> u64 {
             w.program
                 .nest_accesses(id, &[i])
-                .iter()
                 .find(|a| a.array.index() == 0)
                 .map(|a| a.element / region)
                 .unwrap()

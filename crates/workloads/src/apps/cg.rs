@@ -124,7 +124,6 @@ mod tests {
         let gathers = |i: i64| -> Vec<i64> {
             w.program
                 .nest_accesses(id, &[i])
-                .iter()
                 .filter(|a| a.array.index() == 1)
                 .map(|a| a.element as i64)
                 .collect()

@@ -90,8 +90,8 @@ mod tests {
         let (ia, _) = a.program.nests().next().unwrap();
         let (ib, _) = b.program.nests().next().unwrap();
         assert_eq!(
-            a.program.nest_accesses(ia, &[17]),
-            b.program.nest_accesses(ib, &[17])
+            a.program.nest_accesses(ia, &[17]).collect::<Vec<_>>(),
+            b.program.nest_accesses(ib, &[17]).collect::<Vec<_>>()
         );
     }
 }

@@ -111,7 +111,6 @@ mod tests {
         let node_of = |i: i64| -> i64 {
             w.program
                 .nest_accesses(id, &[i])
-                .iter()
                 .find(|a| a.array.index() == 0)
                 .map(|a| a.element as i64)
                 .unwrap()

@@ -97,7 +97,6 @@ mod tests {
         let reads = |i: i64| -> Vec<u64> {
             w.program
                 .nest_accesses(id, &[i])
-                .iter()
                 .filter(|a| a.array.index() == 0)
                 .map(|a| a.element)
                 .collect()

@@ -97,21 +97,19 @@ mod tests {
         let w = build(SizeClass::Test);
         let (id, _) = w.program.nests().next().unwrap();
         // Iteration (2, 5) must also read A[45][5] (n = 48).
-        let acc = w.program.nest_accesses(id, &[2, 5]);
+        let acc = w.program.nest_accesses(id, &[2, 5]).nth(3).unwrap();
         let n = 48u64;
-        assert_eq!(acc[3].element, 45 * n + 5);
+        assert_eq!(acc.element, 45 * n + 5);
         // Rows i and n-1-i access the same elements (mode-pair symmetry).
         let a1: std::collections::BTreeSet<u64> = w
             .program
             .nest_accesses(id, &[2, 5])
-            .iter()
             .filter(|x| x.array.index() == 0)
             .map(|x| x.element)
             .collect();
         let a2: std::collections::BTreeSet<u64> = w
             .program
             .nest_accesses(id, &[45, 5])
-            .iter()
             .filter(|x| x.array.index() == 0)
             .map(|x| x.element)
             .collect();

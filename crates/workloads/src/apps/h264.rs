@@ -171,7 +171,6 @@ mod tests {
         let refs = |t: i64| -> Vec<u64> {
             w.program
                 .nest_accesses(id, &[t])
-                .iter()
                 .filter(|a| a.array.index() == 1)
                 .map(|a| a.element)
                 .collect()

@@ -126,7 +126,6 @@ mod tests {
         let region_of = |t: i64| -> u64 {
             w.program
                 .nest_accesses(id, &[t])
-                .iter()
                 .find(|a| a.array.index() == 0) // framebuffer
                 .map(|a| a.element / (12288 / OBJECTS))
                 .unwrap()

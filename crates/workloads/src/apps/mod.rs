@@ -82,7 +82,7 @@ pub(crate) mod testsupport {
             // panics otherwise).
             let pts = nest.iterations();
             for p in [&pts[0], &pts[n / 2], &pts[n - 1]] {
-                let _ = w.program.nest_accesses(id, p);
+                w.program.nest_accesses(id, p).for_each(drop);
             }
         }
     }

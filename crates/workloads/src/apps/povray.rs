@@ -77,7 +77,6 @@ mod tests {
         let scene_of = |y: i64, x: i64| -> u64 {
             w.program
                 .nest_accesses(id, &[y, x])
-                .iter()
                 .find(|a| a.array.index() == 0)
                 .map(|a| a.element / 1024)
                 .unwrap()

@@ -8,7 +8,7 @@ use ctam::pipeline::{evaluate_ported, CtamParams, Strategy};
 use ctam_topology::catalog;
 use ctam_workloads::{by_name, SizeClass};
 
-fn main() -> Result<(), ctam::pipeline::CtamError> {
+fn main() -> Result<(), ctam::pipeline::PipelineError> {
     let galgel = by_name("galgel", SizeClass::Test).expect("galgel is in the suite");
     let machines = catalog::commercial_machines();
     let params = CtamParams::default();

@@ -8,7 +8,7 @@ use ctam_loopir::{ArrayRef, LoopNest, Program};
 use ctam_poly::{AffineExpr, AffineMap, IntegerSet};
 use ctam_topology::catalog;
 
-fn main() -> Result<(), ctam::pipeline::CtamError> {
+fn main() -> Result<(), ctam::pipeline::PipelineError> {
     // A 96x96 symmetric-coupling sweep: row i combines its own data with
     // its mirror row's — B[i][j] = A[i][j] + A[n-1-i][j]. Rows far apart in
     // the loop share data, which is exactly the pattern a contiguous
