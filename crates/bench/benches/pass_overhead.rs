@@ -16,7 +16,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ctam::cluster::{distribute_each, distribute_with, LeafSplit};
 use ctam::pipeline::{append_schedule_trace, map_nest, CtamParams, Strategy};
-use ctam::verify::{advise_mapping, AdvisorOptions};
+use ctam::verify::advise_mapping;
 use ctam::{IterationGroup, Tag};
 use ctam_cachesim::trace::MulticoreTrace;
 use ctam_cachesim::Simulator;
@@ -178,7 +178,6 @@ fn strategy_cost(c: &mut Criterion) {
 fn advisor_cost(c: &mut Criterion) {
     let machine = catalog::dunnington();
     let params = CtamParams::default();
-    let opts = AdvisorOptions::default();
     let mut group = c.benchmark_group("advisor_cost");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(8));
@@ -198,7 +197,7 @@ fn advisor_cost(c: &mut Criterion) {
                 for (nest, _) in w.program.nests() {
                     let m = map_nest(&w.program, nest, &machine, Strategy::Combined, &params)
                         .expect("mapping succeeds");
-                    let r = advise_mapping(&w.program, &machine, &m, &m.schedule, &opts);
+                    let r = advise_mapping(&w.program, &machine, &m, &m.schedule);
                     std::hint::black_box((m.n_groups, r.levels.len()));
                 }
             });
@@ -218,7 +217,7 @@ fn advisor_cost(c: &mut Criterion) {
             |b, mappings| {
                 b.iter(|| {
                     for m in mappings {
-                        let r = advise_mapping(&w.program, &machine, m, &m.schedule, &opts);
+                        let r = advise_mapping(&w.program, &machine, m, &m.schedule);
                         std::hint::black_box(r.levels.len());
                     }
                 });
@@ -228,12 +227,12 @@ fn advisor_cost(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cost of the certificate gate on top of the pass — build the
-/// certificate, serialize, re-parse, and run the independent checker, as
-/// `CtamParams::certify` does. The checker re-enumerates the iteration
-/// domain and re-settles every pair, so its cost scales with the nest, not
-/// the schedule; compare `map_and_certify` against `map_only`, and
-/// `certify_only` for the marginal cost on a pre-built mapping.
+/// Cost of certifying on top of the pass — build the certificate,
+/// serialize, re-parse, and run the independent checker. The checker
+/// re-enumerates the iteration domain and re-settles every pair, so its
+/// cost scales with the nest, not the schedule; compare `map_and_certify`
+/// against `map_only`, and `certify_only` for the marginal cost on a
+/// pre-built mapping.
 fn cert_cost(c: &mut Criterion) {
     let machine = catalog::dunnington();
     let params = CtamParams::default();
@@ -264,7 +263,7 @@ fn cert_cost(c: &mut Criterion) {
                 }
             });
         });
-        // The gate alone, on pre-built mappings: the marginal cost.
+        // Certification alone, on pre-built mappings: the marginal cost.
         let mappings: Vec<_> = w
             .program
             .nests()

@@ -478,9 +478,6 @@ mod tests {
             block_bytes,
             balance_threshold,
             weights,
-            verify,
-            lint_topology,
-            certify,
         } = CtamParams::default();
         let d = CtamParams::default();
         let variants = [
@@ -504,18 +501,6 @@ mod tests {
                     beta: weights.beta + 0.25,
                     ..weights
                 },
-                ..d.clone()
-            },
-            CtamParams {
-                verify: !verify,
-                ..d.clone()
-            },
-            CtamParams {
-                lint_topology: !lint_topology,
-                ..d.clone()
-            },
-            CtamParams {
-                certify: !certify,
                 ..d.clone()
             },
         ];

@@ -13,6 +13,7 @@ use ctam_cert::json::{self, field, int_array, read_i64s, read_usizes, JsonValue}
 use ctam_loopir::dependence::{LevelCarriers, ParallelismReport};
 use ctam_loopir::Program;
 
+use crate::blocks::BlockMap;
 use crate::group::IterationGroup;
 use crate::pipeline::NestMapping;
 use crate::schedule::Schedule;
@@ -41,10 +42,17 @@ fn group_value(g: &IterationGroup) -> JsonValue {
     ])
 }
 
-fn group_from_value(v: &JsonValue) -> Result<IterationGroup, String> {
+/// Parses one group whose tag must range over the program's `n_blocks`
+/// blocks; the width is checked before the tag is built.
+fn group_from_value(v: &JsonValue, n_blocks: usize) -> Result<IterationGroup, String> {
     let n_bits = field(v, "tag_bits")?
         .as_usize()
         .ok_or("tag_bits must be a non-negative integer")?;
+    if n_bits != n_blocks {
+        return Err(format!(
+            "tag_bits {n_bits} differs from the program's {n_blocks} blocks"
+        ));
+    }
     let bits = read_usizes(field(v, "tag")?, "group tag")?;
     if let Some(&b) = bits.iter().find(|&&b| b >= n_bits) {
         return Err(format!("tag bit {b} out of range for {n_bits} bits"));
@@ -199,7 +207,11 @@ pub fn mapping_to_json(m: &NestMapping) -> String {
 ///
 /// A description of the first structural error: wrong format tag or
 /// version, a nest index `program` does not have, a unit prefix deeper than
-/// the nest, ragged rounds, or a unit id outside the rebuilt space.
+/// the nest, a block size of 0, a schedule with no rounds, ragged rounds, a
+/// tag width other than the program's block count, or a unit id outside
+/// the rebuilt space. Each is found before the document's sizes drive an
+/// allocation: with at least one round, the document's own length bounds
+/// the core count.
 pub fn mapping_from_value(program: &Program, v: &JsonValue) -> Result<NestMapping, String> {
     let format = field(v, "format")?.as_str().unwrap_or_default();
     if format != FORMAT {
@@ -225,12 +237,23 @@ pub fn mapping_from_value(program: &Program, v: &JsonValue) -> Result<NestMappin
             nest.depth()
         ));
     }
+    let block_bytes = field(v, "block_bytes")?
+        .as_u64()
+        .ok_or("block_bytes must be a non-negative integer")?;
+    if block_bytes == 0 {
+        return Err("block_bytes must be positive".to_owned());
+    }
+    let n_blocks = BlockMap::new(program, block_bytes).n_blocks();
     let n_cores = field(v, "n_cores")?
         .as_usize()
         .ok_or("n_cores must be a non-negative integer")?;
     let rounds = field(v, "rounds")?
         .as_array()
-        .ok_or("rounds must be an array")?
+        .ok_or("rounds must be an array")?;
+    if rounds.is_empty() {
+        return Err("schedule must have at least one round".to_owned());
+    }
+    let rounds = rounds
         .iter()
         .map(|round| {
             round
@@ -242,7 +265,7 @@ pub fn mapping_from_value(program: &Program, v: &JsonValue) -> Result<NestMappin
                         .as_array()
                         .ok_or("core groups must be an array")?
                         .iter()
-                        .map(group_from_value)
+                        .map(|g| group_from_value(g, n_blocks))
                         .collect::<Result<Vec<_>, String>>()
                 })
                 .collect::<Result<Vec<_>, String>>()
@@ -261,9 +284,7 @@ pub fn mapping_from_value(program: &Program, v: &JsonValue) -> Result<NestMappin
     Ok(NestMapping {
         schedule,
         space,
-        block_bytes: field(v, "block_bytes")?
-            .as_u64()
-            .ok_or("block_bytes must be a non-negative integer")?,
+        block_bytes,
         n_groups: field(v, "n_groups")?
             .as_usize()
             .ok_or("n_groups must be a non-negative integer")?,
@@ -355,5 +376,62 @@ mod tests {
         let empty = json.replacen("\"units\":[", "\"units\":[],\"was\":[", 1);
         let err = mapping_from_json(&p, &empty).unwrap_err();
         assert_eq!(err, "group units must be non-empty");
+    }
+
+    /// `wave(8)`'s Base mapping on Harpertown as a document, with `edits`
+    /// replacing top-level fields.
+    fn edited_document(edits: &[(&str, JsonValue)]) -> (Program, NestMapping, JsonValue) {
+        let p = wave(8);
+        let nest = p.nests().next().unwrap().0;
+        let m = catalog::harpertown();
+        let mapping = map_nest(&p, nest, &m, Strategy::Base, &CtamParams::default()).unwrap();
+        let JsonValue::Object(mut fields) = mapping_to_value(&mapping) else {
+            unreachable!("a mapping document is an object")
+        };
+        for (key, value) in edits {
+            fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = value.clone();
+        }
+        (p, mapping, JsonValue::Object(fields))
+    }
+
+    #[test]
+    fn rejects_a_zero_block_size() {
+        // Verifying or advising on the mapping would divide by it.
+        let (p, _, doc) = edited_document(&[("block_bytes", JsonValue::Int(0))]);
+        let err = mapping_from_value(&p, &doc).unwrap_err();
+        assert_eq!(err, "block_bytes must be positive");
+    }
+
+    #[test]
+    fn rejects_a_schedule_without_rounds() {
+        // No round can be ragged, so nothing bounds the core count that
+        // verification allocates per core.
+        let (p, _, doc) = edited_document(&[
+            ("rounds", JsonValue::Array(Vec::new())),
+            ("n_cores", JsonValue::Int(1 << 40)),
+        ]);
+        let err = mapping_from_value(&p, &doc).unwrap_err();
+        assert_eq!(err, "schedule must have at least one round");
+    }
+
+    #[test]
+    fn rejects_a_tag_width_other_than_the_block_count() {
+        // A width just above the block count; a huge one with enough set
+        // bits would make the tag allocate its dense form.
+        let (p, mapping, doc) = edited_document(&[]);
+        let n_blocks = BlockMap::new(&p, mapping.block_bytes).n_blocks();
+        let json = doc.render().replacen(
+            &format!("\"tag_bits\":{n_blocks},"),
+            &format!("\"tag_bits\":{},", n_blocks + 1),
+            1,
+        );
+        let err = mapping_from_json(&p, &json).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "tag_bits {} differs from the program's {n_blocks} blocks",
+                n_blocks + 1
+            )
+        );
     }
 }

@@ -21,11 +21,15 @@ use crate::optimal::OptimalError;
 use crate::schedule::{Schedule, ScheduleError, ScheduleWeights};
 use crate::space::IterationSpace;
 use crate::strategies::MappingContext;
-use crate::verify::{self, Diagnostic, Severity, VerifyOptions};
 
 pub use crate::strategies::Strategy;
 
 /// Tunable parameters of the pass (the paper's defaults are the `Default`).
+///
+/// They configure mapping only. Checks are calls a caller makes on what
+/// [`map_nest`] and [`evaluate`] return: [`crate::verify::verify_mapping`],
+/// [`crate::verify::certificate_for`] with [`ctam_cert::check_certificate`],
+/// and [`crate::verify::advise_mapping`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CtamParams {
     /// Data block size in bytes; `None` selects it with the Section 4.1
@@ -35,29 +39,6 @@ pub struct CtamParams {
     pub balance_threshold: f64,
     /// α/β of the local scheduler (paper default: 0.5/0.5).
     pub weights: ScheduleWeights,
-    /// Run the static verifier ([`crate::verify`]) over every mapping the
-    /// pipeline produces; error-severity diagnostics abort the run with
-    /// [`PipelineError::VerificationFailed`]. Off by default — verification
-    /// re-walks every access of the nest, roughly doubling mapping cost.
-    pub verify: bool,
-    /// With `verify`, also run the [`crate::verify::toplint`] machine linter
-    /// and include its `CTAM-T5xx` findings. Error-severity findings
-    /// (capacity inversions, implausible latencies) abort the run like any
-    /// other verification error — a machine the cost model cannot trust
-    /// taints every mapping computed for it. Off by default; has no effect
-    /// unless `verify` is set.
-    pub lint_topology: bool,
-    /// Emit a proof-carrying certificate ([`ctam_cert::Certificate`]) for
-    /// every mapping the pipeline produces, round-trip it through its JSON
-    /// codec, and re-validate it with the independent checker
-    /// ([`ctam_cert::check_certificate`]) — a second, analyzer-free opinion
-    /// on the verdict. A rejection aborts the run with
-    /// [`PipelineError::CertificationFailed`]. Independent of `verify` (the
-    /// checker does not need the verifier's diagnostics), but the two
-    /// compose: `verify` + `certify` means every accepted mapping passed
-    /// both the full-strength verifier and the minimal-TCB checker. Off by
-    /// default — certification re-enumerates the nest's iteration domain.
-    pub certify: bool,
 }
 
 impl Default for CtamParams {
@@ -66,9 +47,6 @@ impl Default for CtamParams {
             block_bytes: None,
             balance_threshold: 0.10,
             weights: ScheduleWeights::default(),
-            verify: false,
-            lint_topology: false,
-            certify: false,
         }
     }
 }
@@ -84,25 +62,6 @@ pub enum PipelineError {
     /// Schedule construction failed structurally (ragged rounds, graph
     /// mismatch, cyclic dependences).
     Schedule(ScheduleError),
-    /// The static verifier found error-severity diagnostics in a produced
-    /// mapping (only with [`CtamParams::verify`] set). Carries *all*
-    /// diagnostics of the failed nest, warnings included.
-    VerificationFailed {
-        /// Index of the offending nest.
-        nest: usize,
-        /// The verifier's findings, errors first.
-        diagnostics: Vec<Diagnostic>,
-    },
-    /// The independent certificate checker rejected a produced mapping's
-    /// certificate (only with [`CtamParams::certify`] set). Either the
-    /// mapping is wrong or the certificate emitter is — both are pipeline
-    /// bugs the checker exists to catch.
-    CertificationFailed {
-        /// Index of the offending nest.
-        nest: usize,
-        /// The checker's coded rejection.
-        rejection: ctam_cert::Rejection,
-    },
 }
 
 impl fmt::Display for PipelineError {
@@ -111,23 +70,6 @@ impl fmt::Display for PipelineError {
             PipelineError::Optimal(e) => write!(f, "optimal mapping failed: {e}"),
             PipelineError::Sim(e) => write!(f, "simulation failed: {e}"),
             PipelineError::Schedule(e) => write!(f, "schedule construction failed: {e}"),
-            PipelineError::VerificationFailed { nest, diagnostics } => {
-                let errors = diagnostics
-                    .iter()
-                    .filter(|d| d.severity() == Severity::Error)
-                    .count();
-                write!(
-                    f,
-                    "mapping verification failed for nest {nest}: {errors} error(s)"
-                )?;
-                for d in diagnostics {
-                    write!(f, "\n  {d}")?;
-                }
-                Ok(())
-            }
-            PipelineError::CertificationFailed { nest, rejection } => {
-                write!(f, "certificate check failed for nest {nest}: {rejection}")
-            }
         }
     }
 }
@@ -138,8 +80,6 @@ impl Error for PipelineError {
             PipelineError::Optimal(e) => Some(e),
             PipelineError::Sim(e) => Some(e),
             PipelineError::Schedule(e) => Some(e),
-            PipelineError::VerificationFailed { .. } => None,
-            PipelineError::CertificationFailed { rejection, .. } => Some(rejection),
         }
     }
 }
@@ -207,60 +147,7 @@ pub fn map_nest(
     // lives in the context build.
     let mut cx = MappingContext::build(program, nest, machine, params);
     let (schedule, n_groups) = strategy.backend().map(&mut cx)?;
-    let mapping = cx.finish(schedule, n_groups);
-    if params.verify {
-        verify_or_fail(program, machine, &mapping, params)?;
-    }
-    if params.certify {
-        certify_or_fail(program, machine, &mapping)?;
-    }
-    Ok(mapping)
-}
-
-/// Runs the static verifier over a finished mapping and converts
-/// error-severity findings into [`PipelineError::VerificationFailed`].
-fn verify_or_fail(
-    program: &Program,
-    machine: &Machine,
-    mapping: &NestMapping,
-    params: &CtamParams,
-) -> Result<(), PipelineError> {
-    let options = VerifyOptions {
-        balance_threshold: params.balance_threshold,
-        lint_topology: params.lint_topology,
-    };
-    let diagnostics =
-        verify::verify_mapping_with(program, machine, mapping, &mapping.schedule, &options);
-    if verify::is_clean(&diagnostics) {
-        Ok(())
-    } else {
-        Err(PipelineError::VerificationFailed {
-            nest: mapping.space.nest().index(),
-            diagnostics,
-        })
-    }
-}
-
-/// Emits the mapping's certificate, round-trips it through the JSON codec
-/// (so the checked object is exactly what an external consumer would parse),
-/// and runs the independent checker over it.
-fn certify_or_fail(
-    program: &Program,
-    machine: &Machine,
-    mapping: &NestMapping,
-) -> Result<(), PipelineError> {
-    let nest = mapping.space.nest().index();
-    let fail = |rejection| PipelineError::CertificationFailed { nest, rejection };
-    let cert = verify::certificate_for(program, machine, mapping);
-    let parsed = ctam_cert::Certificate::from_json(&cert.to_json()).map_err(|e| {
-        fail(ctam_cert::Rejection {
-            code: ctam_cert::RejectCode::Malformed,
-            detail: format!("emitted certificate does not round-trip: {e}"),
-        })
-    })?;
-    ctam_cert::check_certificate(&parsed)
-        .map(|_| ())
-        .map_err(fail)
+    Ok(cx.finish(schedule, n_groups))
 }
 
 /// Appends the memory accesses of `mapping` to `trace`: per round, each
@@ -331,20 +218,6 @@ pub fn evaluate(
     evaluate_ported(program, machine, machine, strategy, params)
 }
 
-/// Convenience: evaluate and return just the cycle count.
-///
-/// # Errors
-///
-/// Same as [`evaluate`].
-pub fn evaluate_cycles(
-    program: &Program,
-    machine: &Machine,
-    strategy: Strategy,
-    params: &CtamParams,
-) -> Result<u64, PipelineError> {
-    Ok(evaluate(program, machine, strategy, params)?.cycles())
-}
-
 /// Re-targets a schedule produced for one machine onto another with a
 /// different core count: thread `t` of the tuned version runs on core
 /// `t mod n_cores` of the hosting machine, rounds preserved. This is the
@@ -372,9 +245,8 @@ fn fold_schedule(schedule: &Schedule, n_cores: usize) -> Result<Schedule, Schedu
 /// are then placed round-robin on `run_on`'s cores and simulated there.
 ///
 /// With the same machine on both sides this is [`evaluate`]: no schedule is
-/// folded, and the [`CtamParams::verify`] / [`CtamParams::certify`] gates
-/// run once per nest, inside [`map_nest`]. On a different host they run
-/// again against the machine the schedule actually executes on.
+/// folded. The returned mappings hold the folded schedules, so a caller
+/// checks them against `run_on`, the machine they execute on.
 ///
 /// # Errors
 ///
@@ -386,23 +258,12 @@ pub fn evaluate_ported(
     strategy: Strategy,
     params: &CtamParams,
 ) -> Result<EvalResult, PipelineError> {
-    let foreign_host = tuned_for != run_on;
     let mut trace = MulticoreTrace::new(run_on.n_cores());
     let mut mappings = Vec::new();
     for (nest_id, _) in program.nests() {
         let mut mapping = map_nest(program, nest_id, tuned_for, strategy, params)?;
         if run_on.n_cores() != tuned_for.n_cores() {
             mapping.schedule = fold_schedule(&mapping.schedule, run_on.n_cores())?;
-        }
-        if foreign_host {
-            // Running on another machine is a schedule step of its own:
-            // re-gate against the host.
-            if params.verify {
-                verify_or_fail(program, run_on, &mapping, params)?;
-            }
-            if params.certify {
-                certify_or_fail(program, run_on, &mapping)?;
-            }
         }
         if !mappings.is_empty() {
             trace.push_barrier_all();
@@ -417,6 +278,7 @@ pub fn evaluate_ported(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify;
     use ctam_loopir::{ArrayRef, LoopNest};
     use ctam_poly::{AffineExpr, AffineMap, IntegerSet};
     use ctam_topology::catalog;
@@ -475,9 +337,9 @@ mod tests {
         let p = stencil(16);
         let m = catalog::dunnington();
         let params = CtamParams::default();
-        let a = evaluate_cycles(&p, &m, Strategy::Combined, &params).unwrap();
-        let b = evaluate_cycles(&p, &m, Strategy::Combined, &params).unwrap();
-        assert_eq!(a, b);
+        let a = evaluate(&p, &m, Strategy::Combined, &params).unwrap();
+        let b = evaluate(&p, &m, Strategy::Combined, &params).unwrap();
+        assert_eq!(a.cycles(), b.cycles());
     }
 
     #[test]
@@ -509,8 +371,10 @@ mod tests {
             block_bytes: Some(512),
             ..CtamParams::default()
         };
-        let base = evaluate_cycles(&p, &m, Strategy::Base, &params).unwrap();
-        let topo = evaluate_cycles(&p, &m, Strategy::TopologyAware, &params).unwrap();
+        let base = evaluate(&p, &m, Strategy::Base, &params).unwrap().cycles();
+        let topo = evaluate(&p, &m, Strategy::TopologyAware, &params)
+            .unwrap()
+            .cycles();
         assert!(
             topo <= base,
             "topology-aware ({topo}) should not lose to base ({base})"
@@ -543,19 +407,11 @@ mod tests {
         assert_eq!(r.report.per_core_cycles().len(), 8);
         assert_eq!(r.report.n_accesses(), 19 * 19 * 4);
         // Porting onto the same machine is native evaluation: the same
-        // simulated report and the same mappings, with the gates on or off.
-        let gated = CtamParams {
-            verify: true,
-            certify: true,
-            ..CtamParams::default()
-        };
-        for params in [params, gated] {
-            let native = evaluate(&p, &dun, Strategy::TopologyAware, &params).unwrap();
-            let self_port =
-                evaluate_ported(&p, &dun, &dun, Strategy::TopologyAware, &params).unwrap();
-            assert_eq!(native.report, self_port.report);
-            assert_eq!(native.mappings, self_port.mappings);
-        }
+        // simulated report and the same mappings.
+        let native = evaluate(&p, &dun, Strategy::TopologyAware, &params).unwrap();
+        let self_port = evaluate_ported(&p, &dun, &dun, Strategy::TopologyAware, &params).unwrap();
+        assert_eq!(native.report, self_port.report);
+        assert_eq!(native.mappings, self_port.mappings);
     }
 
     #[test]
@@ -593,21 +449,32 @@ mod tests {
         assert_eq!(ported.report.n_accesses(), (n - 1) * n * 2);
     }
 
+    /// Verifies every mapping of `result` against `run_on`, the machine it
+    /// executes on, and has the independent checker judge the wire form of
+    /// its certificate.
+    fn assert_verified_and_certified(p: &Program, run_on: &Machine, result: &EvalResult) {
+        for mapping in &result.mappings {
+            let diags = verify::verify_mapping(p, run_on, mapping, &mapping.schedule);
+            assert!(verify::is_clean(&diags), "{diags:?}");
+            let cert = verify::certificate_for(p, run_on, mapping);
+            let parsed = ctam_cert::Certificate::from_json(&cert.to_json()).unwrap();
+            ctam_cert::check_certificate(&parsed).unwrap();
+        }
+    }
+
     #[test]
     fn certified_pipeline_accepts_its_own_mappings() {
         let p = stencil(16);
         let m = catalog::harpertown();
-        let params = CtamParams {
-            verify: true,
-            certify: true,
-            ..CtamParams::default()
-        };
+        let params = CtamParams::default();
         for s in [Strategy::Base, Strategy::TopologyAware, Strategy::Combined] {
-            evaluate(&p, &m, s, &params).unwrap_or_else(|e| panic!("{s}: {e}"));
+            let r = evaluate(&p, &m, s, &params).unwrap_or_else(|e| panic!("{s}: {e}"));
+            assert_verified_and_certified(&p, &m, &r);
         }
-        // Certification also covers the folded schedule of a ported run.
+        // The folded schedules of a ported run are checked on their host.
         let dun = catalog::dunnington();
-        evaluate_ported(&p, &dun, &m, Strategy::Combined, &params).unwrap();
+        let r = evaluate_ported(&p, &dun, &m, Strategy::Combined, &params).unwrap();
+        assert_verified_and_certified(&p, &m, &r);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! keys bench-cell fingerprints and figure legends — plus `map`), add a
 //! [`Strategy`] variant wired up in [`Strategy::backend`], and append it to
 //! [`Strategy::ALL`]. Registry-driven tests (the strategy-arena grid) and
-//! figures pick the new backend up from `ALL`; the verifier gate must pass
-//! on every catalog and zoo machine.
+//! figures pick the new backend up from `ALL`; its mappings must verify
+//! clean on every catalog and zoo machine.
 
 use std::fmt;
 use std::str::FromStr;

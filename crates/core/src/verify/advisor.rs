@@ -50,30 +50,21 @@ use crate::tag::Tag;
 
 use super::diag::{Code, Diagnostic};
 
-/// Tuning knobs of the advisor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdvisorOptions {
-    /// α/β used to replay the Figure 7 objective for `CTAM-A403`; should
-    /// match the weights the schedule was built with.
-    pub weights: ScheduleWeights,
-    /// `CTAM-A403` fires when the achieved reuse score falls below this
-    /// fraction of the greedy upper bound. Default 0.5.
-    pub reuse_fraction: f64,
-    /// Above this many groups the quadratic affinity scans (`A402`, the
-    /// `A403` upper bound) fall back to coarser linear summaries: per-core
-    /// ORed tags for `A402`, a popcount bound for `A403`. Default 256.
-    pub max_affinity_groups: usize,
-}
+/// α/β used to replay the Figure 7 objective for `CTAM-A403`: the paper's
+/// default, 0.5/0.5.
+const WEIGHTS: ScheduleWeights = ScheduleWeights {
+    alpha: 0.5,
+    beta: 0.5,
+};
 
-impl Default for AdvisorOptions {
-    fn default() -> Self {
-        Self {
-            weights: ScheduleWeights::default(),
-            reuse_fraction: 0.5,
-            max_affinity_groups: 256,
-        }
-    }
-}
+/// `CTAM-A403` fires when the achieved reuse score falls below this fraction
+/// of the greedy upper bound.
+const REUSE_FRACTION: f64 = 0.5;
+
+/// Above this many groups the quadratic affinity scans (`A402`, the `A403`
+/// upper bound) fall back to coarser linear summaries: per-core ORed tags
+/// for `A402`, a popcount bound for `A403`.
+const MAX_AFFINITY_GROUPS: usize = 256;
 
 /// Predicted sharing/interference metrics for one cache level, in units of
 /// cache lines at that level's (finest) line size.
@@ -478,7 +469,6 @@ fn check_affinity_loss(
     machine: &Machine,
     schedule: &Schedule,
     nest: usize,
-    options: &AdvisorOptions,
     diags: &mut Vec<Diagnostic>,
 ) {
     let Some(level) = machine.first_shared_level() else {
@@ -489,7 +479,7 @@ fn check_affinity_loss(
     // Above the cap, collapse each core to one ORed pseudo-group so the scan
     // stays quadratic in cores, not groups.
     let collapsed: Vec<Vec<Tag>>;
-    let per_core: Vec<Vec<&Tag>> = if n_groups > options.max_affinity_groups {
+    let per_core: Vec<Vec<&Tag>> = if n_groups > MAX_AFFINITY_GROUPS {
         collapsed = per_core
             .iter()
             .map(|tags| {
@@ -570,7 +560,7 @@ fn check_affinity_loss(
 
 /// Replays the Figure 7 objective over `schedule` exactly as
 /// [`crate::schedule::schedule_local`] scores picks, and bounds it greedily.
-fn reuse_score(machine: &Machine, schedule: &Schedule, options: &AdvisorOptions) -> ReuseScore {
+fn reuse_score(machine: &Machine, schedule: &Schedule) -> ReuseScore {
     let n_cores = schedule.n_cores();
     let domains: Vec<Vec<usize>> = match machine.first_shared_level() {
         Some(level) => machine
@@ -586,7 +576,7 @@ fn reuse_score(machine: &Machine, schedule: &Schedule, options: &AdvisorOptions)
             .collect(),
         None => (0..n_cores).map(|c| vec![c]).collect(),
     };
-    let (alpha, beta) = (options.weights.alpha, options.weights.beta);
+    let (alpha, beta) = (WEIGHTS.alpha, WEIGHTS.beta);
     let mut achieved = 0f64;
     let mut last_on_core: Vec<Option<&Tag>> = vec![None; n_cores];
     for round in schedule.rounds() {
@@ -617,7 +607,7 @@ fn reuse_score(machine: &Machine, schedule: &Schedule, options: &AdvisorOptions)
             flat.extend(groups.iter().map(|g| (c, g.tag())));
         }
     }
-    let upper_bound = if flat.len() > options.max_affinity_groups {
+    let upper_bound = if flat.len() > MAX_AFFINITY_GROUPS {
         // dot(θ_a, ·) ≤ |θ_a|, so (α+β)·Σ|θ| bounds any schedule.
         flat.iter()
             .map(|(_, t)| (alpha + beta) * f64::from(t.popcount()))
@@ -662,7 +652,6 @@ pub fn advise_mapping(
     machine: &Machine,
     mapping: &NestMapping,
     schedule: &Schedule,
-    options: &AdvisorOptions,
 ) -> AdvisorReport {
     let nest = mapping.space.nest().index();
     let blocks = BlockMap::new(program, mapping.block_bytes);
@@ -673,10 +662,10 @@ pub fn advise_mapping(
     let fp = recompute_footprints(program, mapping, &blocks, schedule);
     let levels = predict_levels(machine, &fp, n_rounds, n_cores);
     check_false_sharing(machine, &blocks, &fp, nest, &mut diagnostics);
-    check_affinity_loss(machine, schedule, nest, options, &mut diagnostics);
+    check_affinity_loss(machine, schedule, nest, &mut diagnostics);
 
-    let reuse = reuse_score(machine, schedule, options);
-    if reuse.upper_bound > 0.0 && reuse.achieved < options.reuse_fraction * reuse.upper_bound {
+    let reuse = reuse_score(machine, schedule);
+    if reuse.upper_bound > 0.0 && reuse.achieved < REUSE_FRACTION * reuse.upper_bound {
         diagnostics.push(
             Diagnostic::new(
                 Code::ReuseStarvedSchedule,
@@ -685,10 +674,10 @@ pub fn advise_mapping(
                      upper bound {:.1} — the round ordering leaves tag \
                      affinity (α={}, β={}) on the table",
                     reuse.achieved,
-                    options.reuse_fraction * 100.0,
+                    REUSE_FRACTION * 100.0,
                     reuse.upper_bound,
-                    options.weights.alpha,
-                    options.weights.beta,
+                    WEIGHTS.alpha,
+                    WEIGHTS.beta,
                 ),
             )
             .with_nest(nest),
@@ -816,9 +805,8 @@ mod tests {
         let (nest, _) = p.nests().next().unwrap();
         for s in [Strategy::Base, Strategy::Combined] {
             let mapping = map_nest(&p, nest, &m, s, &params).unwrap();
-            let opts = AdvisorOptions::default();
-            let r1 = advise_mapping(&p, &m, &mapping, &mapping.schedule, &opts);
-            let r2 = advise_mapping(&p, &m, &mapping, &mapping.schedule, &opts);
+            let r1 = advise_mapping(&p, &m, &mapping, &mapping.schedule);
+            let r2 = advise_mapping(&p, &m, &mapping, &mapping.schedule);
             assert_eq!(r1, r2, "{s}");
             // Harpertown has L1 and L2 predictions, both with positive
             // footprints (the nest touches real data).
@@ -844,13 +832,7 @@ mod tests {
         let m = catalog::harpertown();
         let (nest, _) = p.nests().next().unwrap();
         let mapping = map_nest(&p, nest, &m, Strategy::Base, &CtamParams::default()).unwrap();
-        let r = advise_mapping(
-            &p,
-            &m,
-            &mapping,
-            &mapping.schedule,
-            &AdvisorOptions::default(),
-        );
+        let r = advise_mapping(&p, &m, &mapping, &mapping.schedule);
         let l1 = r.level(1).unwrap();
         let l2 = r.level(2).unwrap();
         // 8 private L1 domains vs 4 shared L2 domains over the same data:
@@ -879,7 +861,7 @@ mod tests {
         round[0] = vec![g.clone()];
         round[1] = vec![g];
         let contested = Schedule::from_rounds(vec![round], m.n_cores()).unwrap();
-        let r = advise_mapping(&p, &m, &mapping, &contested, &AdvisorOptions::default());
+        let r = advise_mapping(&p, &m, &mapping, &contested);
         let a401 = r
             .diagnostics
             .iter()
@@ -912,13 +894,7 @@ mod tests {
         let m = catalog::harpertown();
         let (nest, _) = p.nests().next().unwrap();
         let mapping = map_nest(&p, nest, &m, Strategy::Base, &CtamParams::default()).unwrap();
-        let r = advise_mapping(
-            &p,
-            &m,
-            &mapping,
-            &mapping.schedule,
-            &AdvisorOptions::default(),
-        );
+        let r = advise_mapping(&p, &m, &mapping, &mapping.schedule);
         assert!(!r.dead_blocks.is_empty());
         let a404 = r
             .diagnostics
@@ -938,13 +914,7 @@ mod tests {
         let m = catalog::dunnington();
         let (nest, _) = p.nests().next().unwrap();
         let mapping = map_nest(&p, nest, &m, Strategy::Combined, &CtamParams::default()).unwrap();
-        let r = advise_mapping(
-            &p,
-            &m,
-            &mapping,
-            &mapping.schedule,
-            &AdvisorOptions::default(),
-        );
+        let r = advise_mapping(&p, &m, &mapping, &mapping.schedule);
         assert!(r.reuse.achieved >= 0.0);
         assert!(
             r.reuse.achieved <= r.reuse.upper_bound + 1e-9,

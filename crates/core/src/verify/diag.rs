@@ -38,10 +38,10 @@ impl fmt::Display for Severity {
 }
 
 /// The fixed catalogue of checks. Every diagnostic carries exactly one code;
-/// the `CTAM-Exxx` range is fatal to a verified pipeline run, `CTAM-Wxxx`
-/// is advisory, `CTAM-A4xx` carries the advisor's locality/interference
-/// *predictions* (never correctness findings), and `CTAM-N3xx` is purely
-/// informational.
+/// the `CTAM-Exxx` range makes a mapping unclean ([`super::is_clean`]),
+/// `CTAM-Wxxx` is advisory, `CTAM-A4xx` carries the advisor's
+/// locality/interference *predictions* (never correctness findings), and
+/// `CTAM-N3xx` is purely informational.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Code {
     /// `CTAM-E001`: an iteration unit of the space appears in no round of
@@ -97,9 +97,8 @@ pub enum Code {
     /// sharing than it kept.
     AffinityLoss,
     /// `CTAM-A403`: the schedule's achieved Figure 7 reuse score (α·
-    /// horizontal + β·vertical affinity) falls below the configured fraction
-    /// of a greedy per-group upper bound — the round ordering squanders
-    /// available reuse.
+    /// horizontal + β·vertical affinity) falls below half of a greedy
+    /// per-group upper bound — the round ordering squanders available reuse.
     ReuseStarvedSchedule,
     /// `CTAM-A404`: tag bit positions (data blocks) no group claims — dead
     /// width in every dot product the heuristics computed.
@@ -207,40 +206,6 @@ impl Code {
             Code::TopoNonLaminarSharing => "TopoNonLaminarSharing",
             Code::TopoDegenerateTree => "TopoDegenerateTree",
         }
-    }
-
-    /// Every code, in the catalogue's declaration order.
-    pub const ALL: &'static [Code] = &[
-        Code::IterationUnmapped,
-        Code::IterationDoubleMapped,
-        Code::DependenceViolation,
-        Code::RaceOnBlock,
-        Code::BalanceThresholdExceeded,
-        Code::DegreeMismatch,
-        Code::TagMismatch,
-        Code::SubscriptOutOfBounds,
-        Code::NonAffineSubscript,
-        Code::CoupledSubscript,
-        Code::UnprovableIndirectPair,
-        Code::PredictedFalseSharing,
-        Code::AffinityLoss,
-        Code::ReuseStarvedSchedule,
-        Code::DeadTagBits,
-        Code::SymbolicRaceProof,
-        Code::RaceCheckEnumerated,
-        Code::IndexFactRaceProof,
-        Code::TopoCapacityInversion,
-        Code::TopoAsymmetricArity,
-        Code::TopoLineShrink,
-        Code::TopoImplausibleLatency,
-        Code::TopoLevelCoverageGap,
-        Code::TopoNonLaminarSharing,
-        Code::TopoDegenerateTree,
-    ];
-
-    /// Resolves a stable identifier (e.g. `"CTAM-E003"`) back to its code.
-    pub fn from_id(id: &str) -> Option<Code> {
-        Code::ALL.iter().copied().find(|c| c.id() == id)
     }
 
     /// The severity every diagnostic with this code carries.
@@ -375,7 +340,7 @@ impl Diagnostic {
 
     /// The diagnostic as one JSON object: code, name, severity and
     /// message, then whichever coordinates are attached.
-    pub(crate) fn to_value(&self) -> JsonValue {
+    fn to_value(&self) -> JsonValue {
         let text = |s: &str| JsonValue::Str(s.to_owned());
         let mut fields = vec![
             ("code".to_owned(), text(self.code.id())),
@@ -433,7 +398,7 @@ impl fmt::Display for Diagnostic {
 /// diagnostics compare equal only if they are field-for-field identical —
 /// so any stable sort using it yields one deterministic order regardless of
 /// the emission (e.g. pair-iteration) order of the checks.
-pub fn diagnostic_order(a: &Diagnostic, b: &Diagnostic) -> std::cmp::Ordering {
+fn diagnostic_order(a: &Diagnostic, b: &Diagnostic) -> std::cmp::Ordering {
     let key = |d: &Diagnostic| {
         (
             d.severity(),
@@ -448,7 +413,7 @@ pub fn diagnostic_order(a: &Diagnostic, b: &Diagnostic) -> std::cmp::Ordering {
 }
 
 /// Sorts a diagnostic list into the canonical [`diagnostic_order`].
-pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
+pub(crate) fn sort_diagnostics(diags: &mut [Diagnostic]) {
     diags.sort_by(diagnostic_order);
 }
 
@@ -528,6 +493,37 @@ mod tests {
         let arr = render_json(&[d.clone(), d]);
         assert!(arr.starts_with('[') && arr.ends_with(']'));
         assert_eq!(arr.matches("CTAM-W103").count(), 2);
+    }
+
+    #[test]
+    fn shuffled_diagnostics_sort_canonically() {
+        // Deliberately out of order: advice before error, high code before
+        // low, later round before earlier.
+        let mut diags = vec![
+            Diagnostic::new(Code::DeadTagBits, "advice last").with_nest(0),
+            Diagnostic::new(Code::RaceOnBlock, "race b")
+                .with_nest(0)
+                .with_round(2),
+            Diagnostic::new(Code::RaceOnBlock, "race a")
+                .with_nest(0)
+                .with_round(1),
+            Diagnostic::new(Code::IterationUnmapped, "coverage first").with_nest(0),
+        ];
+        sort_diagnostics(&mut diags);
+        let codes: Vec<_> = diags.iter().map(|d| (d.code().id(), d.round())).collect();
+        assert_eq!(
+            codes,
+            vec![
+                ("CTAM-E001", None),
+                ("CTAM-E004", Some(1)),
+                ("CTAM-E004", Some(2)),
+                ("CTAM-A404", None),
+            ]
+        );
+        // Sorting is idempotent.
+        let mut again = diags.clone();
+        sort_diagnostics(&mut again);
+        assert_eq!(again, diags);
     }
 
     /// Minimal JSON string unescaper for the round-trip test below: undoes

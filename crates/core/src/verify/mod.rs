@@ -21,18 +21,19 @@
 //! * **subscript lints** (`CTAM-W201`–`W203`): bounds, affinity, and
 //!   coupled-subscript checks over the nest's array references (see
 //!   [`ctam_loopir::lint`]),
-//! * **topology lints** (`CTAM-T501`–`T507`, opt-in via
-//!   [`VerifyOptions::lint_topology`]): the [`toplint`] machine linter —
-//!   capacity inversions, asymmetric arities, implausible latencies,
-//!   coverage gaps, degenerate hierarchies. These judge the *machine*, not
-//!   the schedule; [`lint_topology`] runs them on their own, and
-//!   [`lint_shared_cpu_maps`] applies the laminarity check to raw
-//!   sysfs-style `(level, shared_cpu_map)` masks before any tree exists.
+//! * **topology lints** (`CTAM-T501`–`T507`): the [`toplint`] machine
+//!   linter — capacity inversions, asymmetric arities, implausible
+//!   latencies, coverage gaps, degenerate hierarchies. These judge the
+//!   *machine*, not the schedule, so [`lint_topology`] runs them once per
+//!   machine, and [`lint_shared_cpu_maps`] applies the laminarity check to
+//!   raw sysfs-style `(level, shared_cpu_map)` masks before any tree exists.
 //!
-//! The pipeline runs these checks on every mapping it produces when
-//! [`CtamParams::verify`] is set; [`verify_evaluation`] collects them over
-//! every nest of an evaluated program into a [`VerificationReport`] for
-//! tools and CI.
+//! Every check is a call on what the pipeline returns, never a mode of it:
+//! [`verify_mapping`] per mapping, [`lint_topology`] per machine,
+//! [`certificate_for`] plus [`ctam_cert::check_certificate`] per mapping for
+//! an independent opinion, and [`advise_mapping`] for predictions. A ported
+//! run's mappings hold their folded schedules, so they are checked against
+//! the machine they run on.
 //!
 //! The checks are pure: they never mutate their inputs and never panic on
 //! malformed schedules — a schedule referencing out-of-range units or cores
@@ -77,11 +78,10 @@
 //! | `CTAM-T507` | `TopoDegenerateTree` | warning | the hierarchy has ≥2 cores, caches, and a shared level |
 //!
 //! A separate `CTAM-C6xx` band belongs to the **independent certificate
-//! checker** ([`ctam_cert::check_certificate`]): when
-//! [`CtamParams::certify`] is set, the pipeline emits a proof-carrying
-//! [`ctam_cert::Certificate`] for every mapping ([`certificate_for`]) and
-//! the checker — a leaf crate that shares no code with the analyzer —
-//! re-validates every obligation from the certificate's plain data alone.
+//! checker** ([`ctam_cert::check_certificate`]): [`certificate_for`] emits a
+//! proof-carrying [`ctam_cert::Certificate`] for a mapping, and the checker
+//! — a leaf crate that shares no code with the analyzer — re-validates
+//! every obligation from the certificate's plain data alone.
 //! Its rejections are [`ctam_cert::Rejection`] values, not [`Diagnostic`]s,
 //! because they judge the certificate (and hence the toolchain), not the
 //! schedule:
@@ -119,14 +119,10 @@
 //! let diags = verify_mapping(&program, &machine, &mapping, &mapping.schedule);
 //! assert!(is_clean(&diags));
 //! ```
-//!
-//! [`CtamParams::verify`]: crate::pipeline::CtamParams::verify
-//! [`CtamParams::certify`]: crate::pipeline::CtamParams::certify
 
 pub mod advisor;
 pub mod cert;
 pub mod diag;
-pub mod report;
 pub mod toplint;
 
 mod coverage;
@@ -135,10 +131,9 @@ mod lints;
 mod races;
 mod structure;
 
-pub use advisor::{advise_mapping, AdvisorOptions, AdvisorReport, LevelPrediction, ReuseScore};
+pub use advisor::{advise_mapping, AdvisorReport, LevelPrediction, ReuseScore};
 pub use cert::certificate_for;
-pub use diag::{diagnostic_order, render_json, sort_diagnostics, Code, Diagnostic, Severity};
-pub use report::{verify_evaluation, NestReport, VerificationReport};
+pub use diag::{render_json, Code, Diagnostic, Severity};
 pub use toplint::{lint_shared_cpu_maps, lint_topology};
 
 use ctam_loopir::Program;
@@ -155,18 +150,12 @@ pub struct VerifyOptions {
     /// Load-balance threshold for `CTAM-W101` (same meaning as
     /// [`crate::pipeline::CtamParams::balance_threshold`]).
     pub balance_threshold: f64,
-    /// Run the [`toplint`] machine linter and append its `CTAM-T5xx`
-    /// findings. Off by default: the machine does not change between
-    /// pipeline runs, so most callers lint it once up front (or not at
-    /// all, trusting the catalog) rather than on every verification.
-    pub lint_topology: bool,
 }
 
 impl Default for VerifyOptions {
     fn default() -> Self {
         Self {
             balance_threshold: 0.10,
-            lint_topology: false,
         }
     }
 }
@@ -298,9 +287,6 @@ pub fn verify_mapping_with(
         &mut diags,
     );
     lints::check(program, mapping.space.nest(), &mut diags);
-    if options.lint_topology {
-        diags.extend(toplint::lint_topology(machine));
-    }
 
     // Errors first, then the canonical total order within a severity — the
     // result no longer depends on the emission order of any check.
@@ -437,6 +423,21 @@ mod tests {
             d.message().contains("10% balance threshold"),
             "{}",
             d.message()
+        );
+    }
+
+    #[test]
+    fn foreign_core_count_is_a_degree_mismatch_warning() {
+        let p = stencil(12);
+        let (nest, _) = p.nests().next().unwrap();
+        let m = catalog::dunnington();
+        let mapping = map_nest(&p, nest, &m, Strategy::Base, &CtamParams::default()).unwrap();
+        // Checked against a machine with another core count: warning-only.
+        let diags = verify_mapping(&p, &catalog::harpertown(), &mapping, &mapping.schedule);
+        assert!(is_clean(&diags), "{diags:?}");
+        assert!(
+            diags.iter().any(|d| d.code() == Code::DegreeMismatch),
+            "{diags:?}"
         );
     }
 

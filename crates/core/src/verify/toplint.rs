@@ -4,10 +4,12 @@
 //! The raw checks live in [`ctam_topology::lint`] so they stay usable
 //! without this crate (the sysfs ingester rejects non-laminar
 //! `shared_cpu_map` dumps with them, for instance). This module gives each
-//! [`TopoLintKind`] a stable code in the `CTAM-T5xx` band and routes the
-//! findings through the same [`Diagnostic`] pipeline as mapping checks, so
-//! a machine problem aborts the pipeline exactly like a coverage or race
-//! error would (opt-in via [`VerifyOptions::lint_topology`]).
+//! [`TopoLintKind`] a stable code in the `CTAM-T5xx` band and reports the
+//! findings as the same [`Diagnostic`]s as mapping checks, so an
+//! error-severity machine finding makes the machine unclean
+//! ([`super::is_clean`]) exactly like a coverage or race error makes a
+//! mapping unclean. A machine does not change between mappings, so callers
+//! lint it once, not once per mapping.
 //!
 //! | code | kind | severity |
 //! |------|------|----------|
@@ -18,8 +20,6 @@
 //! | `CTAM-T505` | level coverage gap | warning |
 //! | `CTAM-T506` | non-laminar sharing | error |
 //! | `CTAM-T507` | degenerate tree | warning |
-//!
-//! [`VerifyOptions::lint_topology`]: super::VerifyOptions::lint_topology
 
 use ctam_topology::lint::{self, TopoLint, TopoLintKind};
 use ctam_topology::Machine;
@@ -27,7 +27,7 @@ use ctam_topology::Machine;
 use super::diag::{Code, Diagnostic};
 
 /// The `CTAM-T5xx` code for one linter finding kind.
-pub fn code_for(kind: TopoLintKind) -> Code {
+fn code_for(kind: TopoLintKind) -> Code {
     match kind {
         TopoLintKind::CapacityInversion => Code::TopoCapacityInversion,
         TopoLintKind::AsymmetricArity => Code::TopoAsymmetricArity,
@@ -80,14 +80,22 @@ mod tests {
     #[test]
     fn every_defect_maps_to_its_code() {
         let base = zoo::generate_clean(7, &zoo::ZooConfig::default());
-        for defect in zoo::Defect::ALL {
-            let broken = zoo::inject(&base, defect);
-            let diags = lint_topology(&broken);
-            let want = code_for(defect.expected_kind());
+        let expected = [
+            (zoo::Defect::CapacityInversion, "CTAM-T501", Severity::Error),
+            (zoo::Defect::AsymmetricArity, "CTAM-T502", Severity::Warning),
+            (zoo::Defect::LineShrink, "CTAM-T503", Severity::Warning),
+            (zoo::Defect::ZeroLatency, "CTAM-T504", Severity::Error),
+            (zoo::Defect::LevelSkip, "CTAM-T505", Severity::Warning),
+            (zoo::Defect::AllPrivate, "CTAM-T507", Severity::Warning),
+        ];
+        assert_eq!(expected.len(), zoo::Defect::ALL.len());
+        for (defect, id, severity) in expected {
+            let diags = lint_topology(&zoo::inject(&base, defect));
             assert!(
-                diags.iter().any(|d| d.code() == want),
-                "{defect:?} should fire {}: {diags:?}",
-                want.id()
+                diags
+                    .iter()
+                    .any(|d| d.code().id() == id && d.severity() == severity),
+                "{defect:?} should fire {id}: {diags:?}"
             );
         }
     }

@@ -21,7 +21,7 @@ fn registry_times_catalog_certificates_all_check() {
                 let mapping = map_nest(&w.program, nest, machine, Strategy::Combined, &params)
                     .unwrap_or_else(|e| panic!("{}/{}: {e}", w.name, machine.name()));
                 let cert = certificate_for(&w.program, machine, &mapping);
-                // Judge the wire form, as the pipeline gate does.
+                // Judge the wire form, as a consumer receives it.
                 let parsed = Certificate::from_json(&cert.to_json())
                     .unwrap_or_else(|e| panic!("{}/{}: {e}", w.name, machine.name()));
                 check_certificate(&parsed).unwrap_or_else(|e| {

@@ -1,6 +1,6 @@
 //! Round-trip properties of the workspace's JSON codecs:
 //! `parse(serialize(x)) == x` and byte-stable re-serialization for
-//! [`Machine`], [`NestMapping`], and [`VerificationReport`] documents.
+//! [`Machine`] and [`NestMapping`] documents.
 //!
 //! Machines cover the commercial catalog plus a 200-machine zoo batch;
 //! mappings cover every nest of the Table 2 workload registry under the
@@ -8,7 +8,6 @@
 
 use ctam::codec::{mapping_from_json, mapping_to_json};
 use ctam::pipeline::{map_nest, CtamParams, PipelineError, Strategy};
-use ctam::verify::{verify_evaluation, VerificationReport};
 use ctam_topology::codec::{machine_from_json, machine_to_json};
 use ctam_topology::zoo::{self, ZooConfig};
 use ctam_topology::{catalog, Machine};
@@ -69,21 +68,5 @@ fn registry_mappings_roundtrip() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn registry_reports_roundtrip() {
-    use ctam::pipeline::evaluate;
-    let machine = catalog::harpertown();
-    let params = CtamParams::default();
-    for w in all(SizeClass::Test).into_iter().take(4) {
-        let r = evaluate(&w.program, &machine, Strategy::Combined, &params)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let report = verify_evaluation(&w.program, &machine, &r);
-        let json = report.to_json();
-        let back = VerificationReport::from_json(&json).unwrap();
-        assert_eq!(back, report, "{}", w.name);
-        assert_eq!(back.to_json(), json, "{}", w.name);
     }
 }

@@ -14,7 +14,7 @@
 use ctam::pipeline::{
     evaluate, map_nest, CtamParams, NestMapping, PipelineError, Strategy as MapStrategy,
 };
-use ctam::verify::{verify_evaluation, verify_mapping, Code, Diagnostic, Severity};
+use ctam::verify::{is_clean, verify_mapping, Code, Diagnostic, Severity};
 use ctam::{IterationGroup, Schedule, Tag};
 use ctam_loopir::{ArrayRef, LoopNest, Program};
 use ctam_poly::{AffineExpr, AffineMap, IntegerSet};
@@ -62,20 +62,24 @@ fn all_workloads_all_strategies_verify_clean() {
     }
 }
 
-/// The pipeline accepts its own mappings when self-verification is on
-/// (spot check — the acceptance sweep above covers the full matrix).
+/// Every mapping `evaluate` returns verifies clean (spot check — the
+/// acceptance sweep above covers the full matrix).
 #[test]
 fn pipeline_self_verification_accepts_workloads() {
     let machine = catalog::dunnington();
-    let params = CtamParams {
-        verify: true,
-        ..CtamParams::default()
-    };
+    let params = CtamParams::default();
     for name in ["applu", "equake"] {
         let w = ctam_workloads::by_name(name, SizeClass::Test).unwrap();
         for strategy in [MapStrategy::Base, MapStrategy::Combined] {
-            if let Err(e) = evaluate(&w.program, &machine, strategy, &params) {
-                panic!("{}/{strategy} rejected by self-verification: {e}", w.name);
+            let r = evaluate(&w.program, &machine, strategy, &params)
+                .unwrap_or_else(|e| panic!("{}/{strategy} failed: {e}", w.name));
+            for m in &r.mappings {
+                let diags = verify_mapping(&w.program, &machine, m, &m.schedule);
+                assert!(
+                    is_clean(&diags),
+                    "{}/{strategy} rejected by verification: {diags:?}",
+                    w.name
+                );
             }
         }
     }
@@ -269,12 +273,14 @@ proptest! {
         ] {
             let r = evaluate(&p, &machine, strategy, &params)
                 .expect("non-exact strategies always map");
-            let report = verify_evaluation(&p, &machine, &r);
-            prop_assert!(
-                report.is_clean(),
-                "{strategy} on {}: {report}",
-                machine.name()
-            );
+            for m in &r.mappings {
+                let diags = verify_mapping(&p, &machine, m, &m.schedule);
+                prop_assert!(
+                    is_clean(&diags),
+                    "{strategy} on {}: {diags:?}",
+                    machine.name()
+                );
+            }
         }
     }
 }

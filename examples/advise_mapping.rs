@@ -10,7 +10,7 @@
 //! (set `CTAM_SIZE=test|small|ref` to change the workload size).
 
 use ctam::pipeline::{map_nest, CtamParams, Strategy};
-use ctam::verify::{advise_mapping, AdvisorOptions};
+use ctam::verify::advise_mapping;
 use ctam_topology::catalog;
 use ctam_workloads::{by_name, SizeClass};
 
@@ -20,7 +20,6 @@ fn main() {
     });
     let machine = catalog::harpertown();
     let params = CtamParams::default();
-    let opts = AdvisorOptions::default();
     println!(
         "== static advisor predictions ({size:?} size, {}) ==",
         machine.name()
@@ -33,8 +32,7 @@ fn main() {
             for (nest, n) in w.program.nests() {
                 let mapping =
                     map_nest(&w.program, nest, &machine, strategy, &params).expect("workload maps");
-                let report =
-                    advise_mapping(&w.program, &machine, &mapping, &mapping.schedule, &opts);
+                let report = advise_mapping(&w.program, &machine, &mapping, &mapping.schedule);
                 println!(
                     "nest {} ({}): {} group(s), {} round(s)",
                     nest.index(),

@@ -2,9 +2,9 @@
 //!
 //! Demonstrates the `ctam-cert` trust anchor:
 //!
-//! 1. **Pipeline gate** — `CtamParams::certify` makes the pipeline emit a
-//!    serialized certificate for every mapping and re-check it with the
-//!    independent checker before the mapping is returned.
+//! 1. **Map, verify, certify** — the pipeline maps a nest; the caller
+//!    verifies the mapping, emits its certificate, sends it through the
+//!    JSON wire format and has the independent checker judge what arrives.
 //! 2. **Certificate anatomy** — what a certificate carries for an affine
 //!    wavefront (distances + realizability witnesses, symbolic-proof
 //!    verdict) and for an indirect gather (index table with claimed facts,
@@ -22,12 +22,12 @@
 //! Run with: `cargo run --release --example certify_mapping`
 //! (set `CTAM_SIZE=test|small|ref` to change the sweep size).
 
-use ctam::pipeline::{map_nest, CtamParams, Strategy};
-use ctam::verify::certificate_for;
+use ctam::pipeline::{map_nest, CtamParams, NestMapping, Strategy};
+use ctam::verify::{certificate_for, is_clean, verify_mapping};
 use ctam_cert::{check_certificate, Certificate, ALL_CORRUPTIONS};
 use ctam_loopir::{AccessKind, ArrayRef, LoopNest, Program, Subscript};
 use ctam_poly::{AffineExpr, AffineMap, IntegerSet};
-use ctam_topology::catalog;
+use ctam_topology::{catalog, Machine};
 use ctam_workloads::{all, SizeClass};
 
 /// `A[i][j] = A[i-1][j]`: row-carried flow dependence, distance `(1, 0)`.
@@ -79,6 +79,21 @@ fn indirect(n: u64) -> Program {
     p
 }
 
+/// Verifies `mapping`, then sends its certificate through the JSON wire
+/// format and has the independent checker judge what arrives.
+fn verified_certificate(
+    program: &Program,
+    machine: &Machine,
+    mapping: &NestMapping,
+) -> Certificate {
+    let diags = verify_mapping(program, machine, mapping, &mapping.schedule);
+    assert!(is_clean(&diags), "{diags:?}");
+    let cert = certificate_for(program, machine, mapping);
+    let parsed = Certificate::from_json(&cert.to_json()).expect("certificate round-trips");
+    check_certificate(&parsed).expect("pipeline certificate checks");
+    parsed
+}
+
 fn describe(cert: &Certificate) {
     println!(
         "{} on {}: verdict {:?}, {} unit(s), {} group(s), {} merged distance(s)",
@@ -124,36 +139,25 @@ fn main() {
     });
     let machine = catalog::harpertown();
 
-    println!("== 1. pipeline gate (CtamParams::certify) ==");
+    println!("== 1. map, verify, certify ==");
     let p = wave(16);
     let nest = p.nests().next().unwrap().0;
-    let params = CtamParams {
-        verify: true,
-        certify: true,
-        ..CtamParams::default()
-    };
-    let mapping =
-        map_nest(&p, nest, &machine, Strategy::Combined, &params).expect("certified mapping");
+    let params = CtamParams::default();
+    let mapping = map_nest(&p, nest, &machine, Strategy::Combined, &params).expect("wave maps");
+    let affine_cert = verified_certificate(&p, &machine, &mapping);
     println!(
-        "wave/rows maps under Combined with verify + certify on: {} round(s) on {} core(s)",
+        "wave/rows maps under Combined, verifies clean and certifies: {} round(s) on {} core(s)",
         mapping.schedule.n_rounds(),
         mapping.schedule.n_cores(),
     );
 
     println!();
     println!("== 2. certificate anatomy ==");
-    let affine_cert = {
-        let cert = certificate_for(&p, &machine, &mapping);
-        // Judge the wire form, exactly as the pipeline gate does.
-        Certificate::from_json(&cert.to_json()).expect("certificate round-trips")
-    };
     describe(&affine_cert);
     let pi = indirect(64);
     let nest = pi.nests().next().unwrap().0;
-    let mapping =
-        map_nest(&pi, nest, &machine, Strategy::Combined, &params).expect("certified mapping");
-    let indirect_cert =
-        Certificate::from_json(&certificate_for(&pi, &machine, &mapping).to_json()).unwrap();
+    let mapping = map_nest(&pi, nest, &machine, Strategy::Combined, &params).expect("gather maps");
+    let indirect_cert = verified_certificate(&pi, &machine, &mapping);
     describe(&indirect_cert);
 
     println!();
@@ -161,21 +165,11 @@ fn main() {
     let mut accepted = 0usize;
     // Certification alone for the sweep: the element-replaying verifier is
     // its own CI job, and the checker re-enumerates the domain anyway.
-    let sweep_params = CtamParams {
-        certify: true,
-        ..CtamParams::default()
-    };
     for w in all(size) {
         let mut verdicts = Vec::new();
         for (nest, _) in w.program.nests() {
-            let mapping = map_nest(
-                &w.program,
-                nest,
-                &machine,
-                Strategy::Combined,
-                &sweep_params,
-            )
-            .expect("registry nest maps under the certify gate");
+            let mapping = map_nest(&w.program, nest, &machine, Strategy::Combined, &params)
+                .expect("registry nest maps");
             let cert = certificate_for(&w.program, &machine, &mapping);
             let parsed = Certificate::from_json(&cert.to_json()).unwrap();
             check_certificate(&parsed).expect("registry certificate checks");

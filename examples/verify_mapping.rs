@@ -125,14 +125,4 @@ fn main() {
         }
         println!();
     }
-
-    // The same checks gate the pipeline itself when `verify` is set.
-    let checked = CtamParams {
-        verify: true,
-        ..CtamParams::default()
-    };
-    match map_nest(&program, nest, &machine, Strategy::Combined, &checked) {
-        Ok(_) => println!("pipeline with CtamParams {{ verify: true }}: mapping accepted"),
-        Err(e) => println!("pipeline rejected its own mapping (bug!): {e}"),
-    }
 }

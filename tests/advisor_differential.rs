@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 
 use ctam::pipeline::{evaluate, CtamParams, Strategy};
-use ctam::verify::{advise_mapping, AdvisorOptions};
+use ctam::verify::advise_mapping;
 use ctam_bench::runner::size_from_env;
 use ctam_topology::catalog;
 use ctam_workloads::{all, SizeClass};
@@ -53,13 +53,12 @@ fn measure(
     machine: &ctam_topology::Machine,
     strategy: Strategy,
     params: &CtamParams,
-    opts: &AdvisorOptions,
 ) -> Column {
     let r = evaluate(&w.program, machine, strategy, params)
         .unwrap_or_else(|e| panic!("{} on {} under {strategy}: {e}", w.name, machine.name()));
     let mut predicted: BTreeMap<u8, u64> = BTreeMap::new();
     for m in &r.mappings {
-        let report = advise_mapping(&w.program, machine, m, &m.schedule, opts);
+        let report = advise_mapping(&w.program, machine, m, &m.schedule);
         for lp in &report.levels {
             *predicted.entry(lp.level).or_insert(0) += lp.interference();
         }
@@ -76,7 +75,6 @@ fn measure(
 fn advisor_interference_ranking_agrees_with_simulated_misses() {
     let size = size_from_env();
     let params = CtamParams::default();
-    let opts = AdvisorOptions::default();
     let quartet = [
         Strategy::Base,
         Strategy::BasePlus,
@@ -91,7 +89,7 @@ fn advisor_interference_ranking_agrees_with_simulated_misses() {
         for w in all(size) {
             let columns: Vec<Column> = quartet
                 .iter()
-                .map(|&s| measure(&w, &machine, s, &params, &opts))
+                .map(|&s| measure(&w, &machine, s, &params))
                 .collect();
             for a in &columns {
                 for b in &columns {
@@ -152,7 +150,6 @@ fn advisor_interference_ranking_agrees_with_simulated_misses() {
 #[test]
 fn advisor_is_cheaper_than_the_pipeline_it_advises() {
     let params = CtamParams::default();
-    let opts = AdvisorOptions::default();
     let machine = catalog::harpertown();
     let w = ctam_workloads::by_name("applu", SizeClass::Test).unwrap();
 
@@ -162,7 +159,7 @@ fn advisor_is_cheaper_than_the_pipeline_it_advises() {
 
     let t1 = std::time::Instant::now();
     for m in &r.mappings {
-        let report = advise_mapping(&w.program, &machine, m, &m.schedule, &opts);
+        let report = advise_mapping(&w.program, &machine, m, &m.schedule);
         assert!(!report.levels.is_empty());
     }
     let advisor = t1.elapsed();

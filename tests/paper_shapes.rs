@@ -2,7 +2,7 @@
 //! assertions, not absolute numbers (our substrate is a simulator, not the
 //! authors' testbed).
 
-use ctam::pipeline::{evaluate, evaluate_cycles, evaluate_ported, CtamParams, Strategy};
+use ctam::pipeline::{evaluate, evaluate_ported, CtamParams, Strategy};
 use ctam_bench::runner::geomean;
 use ctam_topology::catalog;
 use ctam_workloads::{all, by_name, SizeClass};
@@ -13,8 +13,10 @@ fn ratio(
     s: Strategy,
     params: &CtamParams,
 ) -> f64 {
-    let base = evaluate_cycles(&w.program, m, Strategy::Base, params).unwrap() as f64;
-    evaluate_cycles(&w.program, m, s, params).unwrap() as f64 / base
+    let base = evaluate(&w.program, m, Strategy::Base, params)
+        .unwrap()
+        .cycles() as f64;
+    evaluate(&w.program, m, s, params).unwrap().cycles() as f64 / base
 }
 
 #[test]
@@ -58,7 +60,9 @@ fn native_version_beats_ported_versions_on_average() {
         let natives: Vec<f64> = suite
             .iter()
             .map(|w| {
-                evaluate_cycles(&w.program, host, Strategy::TopologyAware, &params).unwrap() as f64
+                evaluate(&w.program, host, Strategy::TopologyAware, &params)
+                    .unwrap()
+                    .cycles() as f64
             })
             .collect();
         for tuned in &machines {
@@ -162,8 +166,12 @@ fn optimal_is_at_least_as_good_as_the_heuristic() {
             block_bytes: Some(block),
             ..CtamParams::default()
         };
-        let topo = evaluate_cycles(&w.program, &m, Strategy::TopologyAware, &params).unwrap();
-        let opt = evaluate_cycles(&w.program, &m, Strategy::Optimal, &params).unwrap();
+        let topo = evaluate(&w.program, &m, Strategy::TopologyAware, &params)
+            .unwrap()
+            .cycles();
+        let opt = evaluate(&w.program, &m, Strategy::Optimal, &params)
+            .unwrap()
+            .cycles();
         assert!(opt <= topo, "{name}: optimal {opt} vs heuristic {topo}");
     }
 }

@@ -4,9 +4,9 @@
 //! the PCOT-style cache-oblivious tiler and the TreeMatch-style
 //! topology matcher — must:
 //!
-//! * produce a mapping that passes the `ctam::verify` gate (coverage,
-//!   dependences, races, structure) on every commercial-catalog machine
-//!   and on lint-clean zoo machines, for every registry workload;
+//! * produce a mapping that `ctam::verify::verify_mapping` finds clean
+//!   (coverage, dependences, races, structure) on every commercial-catalog
+//!   machine and on lint-clean zoo machines, for every registry workload;
 //! * keep the advisor's interference ranking weakly monotone against
 //!   simulated misses (the `advisor_differential` margins) — the arena's
 //!   new contenders don't get to confuse the static advisor;
@@ -28,7 +28,7 @@ use ctam::optimal::{optimal_assignment, OptimalOptions};
 use ctam::pipeline::{append_trace_for, evaluate, map_nest, CtamParams, Strategy};
 use ctam::schedule::{schedule_dependence_only, Schedule};
 use ctam::strategies::MappingContext;
-use ctam::verify::{advise_mapping, AdvisorOptions};
+use ctam::verify::{advise_mapping, is_clean, lint_topology, verify_mapping};
 use ctam_bench::experiments::coarse_block_bytes;
 use ctam_bench::runner::size_from_env;
 use ctam_cachesim::trace::MulticoreTrace;
@@ -73,29 +73,35 @@ fn grid_machines() -> Vec<Machine> {
     }
 }
 
-/// Parameters for one (workload, strategy) point: verifier gate on, and
-/// coarse blocks for `Optimal` so its exponential search stays tractable
-/// (exactly how Figure 20 shrank its ILP instances).
-fn gated_params(w: &Workload, s: Strategy, lint_topology: bool) -> CtamParams {
+/// Parameters for one (workload, strategy) point: coarse blocks for
+/// `Optimal` so its exponential search stays tractable (exactly how
+/// Figure 20 shrank its ILP instances).
+fn grid_params(w: &Workload, s: Strategy) -> CtamParams {
     CtamParams {
         block_bytes: (s == Strategy::Optimal).then(|| coarse_block_bytes(w, 14)),
-        verify: true,
-        lint_topology,
         ..CtamParams::default()
     }
 }
 
-fn assert_gate_passes(w: &Workload, machine: &Machine, s: Strategy, lint: bool) {
-    let params = gated_params(w, s, lint);
+fn assert_verifies_clean(w: &Workload, machine: &Machine, s: Strategy) {
+    let params = grid_params(w, s);
     for (nest, _) in w.program.nests() {
         let mapping = map_nest(&w.program, nest, machine, s, &params).unwrap_or_else(|e| {
             panic!(
-                "{} nest {} on {} under {s} failed the verifier gate:\n{e}",
+                "{} nest {} on {} under {s} failed to map: {e}",
                 w.name,
                 nest.index(),
                 machine.name()
             )
         });
+        let diags = verify_mapping(&w.program, machine, &mapping, &mapping.schedule);
+        assert!(
+            is_clean(&diags),
+            "{} nest {} on {} under {s} failed verification: {diags:?}",
+            w.name,
+            nest.index(),
+            machine.name()
+        );
         assert_eq!(
             mapping.schedule.total_iterations(),
             mapping.space.n_units(),
@@ -106,7 +112,7 @@ fn assert_gate_passes(w: &Workload, machine: &Machine, s: Strategy, lint: bool) 
     }
 }
 
-/// Every registered strategy maps every grid workload cleanly (gate on)
+/// Every registered strategy maps every grid workload, and verifies clean,
 /// on every grid machine (full registry × commercial catalog under
 /// `CTAM_ARENA_FULL`).
 #[test]
@@ -118,7 +124,7 @@ fn registry_passes_verifier_gate_on_commercial_catalog() {
     for machine in &machines {
         for w in &workloads {
             for s in Strategy::ALL {
-                assert_gate_passes(w, machine, s, false);
+                assert_verifies_clean(w, machine, s);
                 cells += 1;
             }
         }
@@ -131,8 +137,8 @@ fn registry_passes_verifier_gate_on_commercial_catalog() {
 }
 
 /// Every registered strategy survives machines it was never tuned on:
-/// lint-clean zoo topologies (random arities, depths, capacities), with
-/// the `CTAM-T5xx` machine linter included in the gate.
+/// lint-clean zoo topologies (random arities, depths, capacities), each
+/// also checked by the `CTAM-T5xx` machine linter.
 #[test]
 fn registry_passes_verifier_gate_on_zoo_machines() {
     let size = size_from_env();
@@ -154,9 +160,11 @@ fn registry_passes_verifier_gate_on_zoo_machines() {
     let machines = zoo::zoo(0x0A_2E4A, n_machines, &cfg);
     let apps = grid_workloads(size);
     for machine in &machines {
+        let lints = lint_topology(machine);
+        assert!(is_clean(&lints), "{}: {lints:?}", machine.name());
         for w in &apps {
             for s in Strategy::ALL {
-                assert_gate_passes(w, machine, s, true);
+                assert_verifies_clean(w, machine, s);
             }
         }
     }
@@ -169,12 +177,11 @@ struct Column {
 }
 
 fn measure(w: &Workload, machine: &Machine, strategy: Strategy, params: &CtamParams) -> Column {
-    let opts = AdvisorOptions::default();
     let r = evaluate(&w.program, machine, strategy, params)
         .unwrap_or_else(|e| panic!("{} on {} under {strategy}: {e}", w.name, machine.name()));
     let mut predicted: BTreeMap<u8, u64> = BTreeMap::new();
     for m in &r.mappings {
-        let report = advise_mapping(&w.program, machine, m, &m.schedule, &opts);
+        let report = advise_mapping(&w.program, machine, m, &m.schedule);
         for lp in &report.levels {
             *predicted.entry(lp.level).or_insert(0) += lp.interference();
         }
