@@ -208,20 +208,21 @@ impl GroupDepGraph {
     }
 }
 
-/// Condenses dependence cycles: groups in one strongly connected component
-/// are merged into a single group (iterations concatenated and sorted, tags
-/// OR-ed), and the graph is rebuilt over the merged groups. The result is
-/// acyclic, as the paper requires before round-based scheduling.
-pub fn condense(
-    groups: Vec<IterationGroup>,
-    space: &IterationSpace,
-    dep: &DependenceInfo,
-) -> (Vec<IterationGroup>, GroupDepGraph) {
-    let graph = GroupDepGraph::build(&groups, space, dep);
+/// Condenses the dependence cycles of `graph`, built over `groups`: groups
+/// in one strongly connected component are merged into a single group
+/// (iterations concatenated and sorted, tags OR-ed). The merged groups have
+/// an acyclic dependence graph, as the paper requires before round-based
+/// scheduling.
+///
+/// # Panics
+///
+/// Panics if `graph` has a node count other than `groups.len()`.
+pub fn condense(groups: Vec<IterationGroup>, graph: &GroupDepGraph) -> Vec<IterationGroup> {
+    assert_eq!(graph.len(), groups.len(), "graph built over other groups");
     let comp = graph.sccs();
     let n_comps = comp.iter().max().map_or(0, |&m| m + 1);
     if n_comps == groups.len() {
-        return (groups, graph);
+        return groups;
     }
     let n_bits = groups.first().map_or(0, |g| g.tag().n_bits());
     let mut merged_iters: Vec<Vec<u32>> = vec![Vec::new(); n_comps];
@@ -240,9 +241,7 @@ pub fn condense(
         })
         .collect();
     out.sort_by_key(|g| g.iterations()[0]);
-    let graph = GroupDepGraph::build(&out, space, dep);
-    debug_assert!(graph.is_acyclic(), "condensation must yield a DAG");
-    (out, graph)
+    out
 }
 
 #[cfg(test)]
@@ -268,7 +267,7 @@ mod tests {
                     AffineMap::new(1, vec![AffineExpr::var(1, 0) - AffineExpr::constant(1, 1)]),
                 )),
         );
-        let dep = dependence::analyze(&p, id);
+        let dep = dependence::analyze_nest(&p, id).info;
         let space = IterationSpace::build(&p, id);
         let bm = BlockMap::new(&p, 64); // 8 elements per block
         (p, space, dep, bm)
@@ -303,7 +302,7 @@ mod tests {
             let id = p.add_nest(
                 LoopNest::new("n", d).with_ref(ArrayRef::read(a, AffineMap::identity(1))),
             );
-            dependence::analyze(&p, id)
+            dependence::analyze_nest(&p, id).info
         };
         let graph = GroupDepGraph::build(&groups, &space, &dep0);
         assert!(graph.is_edgeless());
@@ -327,10 +326,10 @@ mod tests {
             "mutual edges"
         );
         assert!(!graph.is_acyclic());
-        let (merged, graph2) = condense(vec![g0, g1], &space, &dep);
+        let merged = condense(vec![g0, g1], &graph);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].size(), 14);
-        assert!(graph2.is_acyclic());
+        assert!(GroupDepGraph::build(&merged, &space, &dep).is_acyclic());
         // Merged tag is the OR.
         assert!(merged[0].tag().get(0) && merged[0].tag().get(1));
     }
@@ -429,7 +428,7 @@ mod tests {
             repeat in 0usize..1000,
         ) {
             let (p, id) = skewed_stencil(depth, n, skew, a, b);
-            let dep = dependence::analyze(&p, id);
+            let dep = dependence::analyze_nest(&p, id).info;
             let space = IterationSpace::build_units(&p, id, prefix_pick % (depth + 1));
             // Four groups; a pick of 4 leaves the unit out.
             let mut members: Vec<Vec<u32>> = vec![Vec::new(); 4];
@@ -462,9 +461,9 @@ mod tests {
     fn condense_keeps_acyclic_graphs_intact() {
         let (_, space, dep, bm) = chain(32);
         let groups = group_iterations(&space, &bm);
-        let before = groups.len();
-        let (after, graph) = condense(groups, &space, &dep);
-        assert_eq!(after.len(), before);
+        let graph = GroupDepGraph::build(&groups, &space, &dep);
+        let after = condense(groups.clone(), &graph);
+        assert_eq!(after, groups);
         assert!(graph.is_acyclic());
     }
 }

@@ -6,8 +6,8 @@
 //! sets covering its mapping units (merging consecutive units into one set)
 //! and renders them as C-like loop nests with [`ctam_poly::generate_union`].
 
-use ctam_loopir::{NestId, Program};
-use ctam_poly::{generate_union, AffineExpr, CodegenOptions, Constraint, IntegerSet};
+use ctam_loopir::Program;
+use ctam_poly::{generate_union, AffineExpr, Constraint, IntegerSet};
 
 use crate::pipeline::NestMapping;
 
@@ -69,21 +69,16 @@ fn run_set(
 /// The sets behind the emitted nests partition the iteration space exactly:
 /// consecutive mapping units merge into a single loop nest, scattered units
 /// fall back to one nest each, and for multi-dimensional unit prefixes a
-/// run is emitted per unit (exactness over brevity).
+/// run is emitted per unit (exactness over brevity). `program` is the
+/// program `mapping` was built from; the nest is the one `mapping.space`
+/// records.
 ///
 /// # Panics
 ///
-/// Panics if `nest` is not the nest `mapping` was built from (domain
-/// mismatch).
-pub fn emit_core_code(mapping: &NestMapping, program: &Program, nest: NestId) -> Vec<String> {
-    let domain = program.nest(nest).domain().clone();
-    assert_eq!(
-        domain.point_count(),
-        mapping.space.n_iterations(),
-        "mapping was built from a different nest"
-    );
+/// Panics if `program` has no nest with that id.
+pub fn emit_core_code(mapping: &NestMapping, program: &Program) -> Vec<String> {
+    let domain = program.nest(mapping.space.nest()).domain();
     let n_cores = mapping.schedule.n_cores();
-    let opts = CodegenOptions::default();
     let multi_prefix = mapping.space.unit_prefix() > 1;
     (0..n_cores)
         .map(|core| {
@@ -102,7 +97,7 @@ pub fn emit_core_code(mapping: &NestMapping, program: &Program, nest: NestId) ->
                             k == units.len() || units[k] != units[k - 1] + 1 || multi_prefix;
                         if splits_here {
                             sets.push(run_set(
-                                &domain,
+                                domain,
                                 mapping,
                                 units[start] as usize,
                                 units[k - 1] as usize,
@@ -117,7 +112,7 @@ pub fn emit_core_code(mapping: &NestMapping, program: &Program, nest: NestId) ->
                 out.push_str(&pieces.join("\n"));
                 out.push('\n');
             }
-            out.push_str(&generate_union(&sets, &opts));
+            out.push_str(&generate_union(&sets));
             out
         })
         .collect()
@@ -127,7 +122,7 @@ pub fn emit_core_code(mapping: &NestMapping, program: &Program, nest: NestId) ->
 mod tests {
     use super::*;
     use crate::pipeline::{map_nest, CtamParams, Strategy};
-    use ctam_loopir::{ArrayRef, LoopNest};
+    use ctam_loopir::{ArrayRef, LoopNest, NestId};
     use ctam_poly::AffineMap;
     use ctam_topology::catalog;
 
@@ -152,7 +147,7 @@ mod tests {
         let mapping =
             map_nest(&p, id, &m, Strategy::TopologyAware, &CtamParams::default()).unwrap();
         // Reconstruct the sets the emitter uses and count their points.
-        let code = emit_core_code(&mapping, &p, id);
+        let code = emit_core_code(&mapping, &p);
         assert_eq!(code.len(), 8);
         // Every core's code must contain at least one loop over i.
         for (c, text) in code.iter().enumerate() {
@@ -167,7 +162,7 @@ mod tests {
         let (p, id) = program_2d(16);
         let m = catalog::harpertown();
         let mapping = map_nest(&p, id, &m, Strategy::Base, &CtamParams::default()).unwrap();
-        let code = emit_core_code(&mapping, &p, id);
+        let code = emit_core_code(&mapping, &p);
         // Base gives each core one contiguous row range: exactly one
         // iteration-group comment per core.
         for text in &code {
@@ -201,7 +196,7 @@ mod tests {
         let m = catalog::harpertown();
         let mapping = map_nest(&p, id, &m, Strategy::Combined, &CtamParams::default()).unwrap();
         if mapping.schedule.n_rounds() > 1 {
-            let code = emit_core_code(&mapping, &p, id);
+            let code = emit_core_code(&mapping, &p);
             assert!(code.iter().any(|t| t.contains("barrier")));
         }
     }

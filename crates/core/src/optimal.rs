@@ -73,31 +73,16 @@ pub fn sharing_cost(machine: &Machine, core_tags: &[Tag]) -> u64 {
     cost
 }
 
-/// Options for [`optimal_assignment`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OptimalOptions {
-    /// Maximum tolerated relative load imbalance (as in Figure 6's balance
-    /// threshold); assignments loading any core beyond
-    /// `ceil(ideal × (1 + threshold))` iterations are pruned.
-    pub balance_threshold: f64,
-    /// Search-node budget. Small instances finish exhaustively well within
-    /// it; at the instance cap the search becomes *anytime*: it returns the
-    /// best assignment found when the budget runs out, exactly as the
-    /// paper's ILP runs were wall-clock-capped ("up to 23 hours").
-    pub node_budget: u64,
-}
-
-impl Default for OptimalOptions {
-    fn default() -> Self {
-        Self {
-            balance_threshold: 0.10,
-            node_budget: 20_000_000,
-        }
-    }
-}
+/// Search-node budget. Small instances finish exhaustively well within it;
+/// at the instance cap the search becomes *anytime*: it returns the best
+/// assignment found when the budget runs out, exactly as the paper's ILP
+/// runs were wall-clock-capped ("up to 23 hours").
+const NODE_BUDGET: u64 = 20_000_000;
 
 /// Exhaustively (branch-and-bound) finds the group→core assignment with the
-/// minimum [`sharing_cost`], subject to the balance threshold.
+/// minimum [`sharing_cost`], subject to the balance threshold (as in
+/// Figure 6): assignments loading any core beyond
+/// `ceil(ideal × (1 + balance_threshold))` iterations are pruned.
 ///
 /// # Errors
 ///
@@ -106,7 +91,17 @@ impl Default for OptimalOptions {
 pub fn optimal_assignment(
     groups: Vec<IterationGroup>,
     machine: &Machine,
-    opts: OptimalOptions,
+    balance_threshold: f64,
+) -> Result<Assignment, OptimalError> {
+    search_within(groups, machine, balance_threshold, NODE_BUDGET)
+}
+
+/// [`optimal_assignment`] under an explicit search-node budget.
+fn search_within(
+    groups: Vec<IterationGroup>,
+    machine: &Machine,
+    balance_threshold: f64,
+    node_budget: u64,
 ) -> Result<Assignment, OptimalError> {
     if groups.len() > MAX_OPTIMAL_GROUPS {
         return Err(OptimalError::TooManyGroups { got: groups.len() });
@@ -114,7 +109,7 @@ pub fn optimal_assignment(
     let n_cores = machine.n_cores();
     let n_bits = groups.first().map_or(0, |g| g.tag().n_bits());
     let total: usize = groups.iter().map(IterationGroup::size).sum();
-    let limit = ((total as f64 / n_cores as f64) * (1.0 + opts.balance_threshold)).ceil() as usize;
+    let limit = ((total as f64 / n_cores as f64) * (1.0 + balance_threshold)).ceil() as usize;
 
     // Sort groups by descending size: big decisions first prunes faster.
     let mut order: Vec<usize> = (0..groups.len()).collect();
@@ -340,7 +335,7 @@ pub fn optimal_assignment(
         best: None,
         chains,
         nodes: 0,
-        node_budget: opts.node_budget,
+        node_budget,
     };
     // Indivisible groups can make the nominal limit infeasible (e.g. six
     // 5-iteration groups on four cores with limit 9): relax it gently until
@@ -415,7 +410,7 @@ mod tests {
                 )
             })
             .collect();
-        let a = optimal_assignment(groups, &fig9(), OptimalOptions::default()).unwrap();
+        let a = optimal_assignment(groups, &fig9(), 0.10).unwrap();
         let parity = |gs: &[IterationGroup]| -> Option<usize> {
             gs.first().map(|g| g.tag().iter_bits().next().unwrap() % 2)
         };
@@ -430,7 +425,7 @@ mod tests {
         let groups: Vec<IterationGroup> = (0..8u32)
             .map(|j| mk(&[j as usize], (j * 10)..(j * 10 + 10)))
             .collect();
-        let a = optimal_assignment(groups, &fig9(), OptimalOptions::default()).unwrap();
+        let a = optimal_assignment(groups, &fig9(), 0.10).unwrap();
         for c in 0..4 {
             assert!(a.core_size(c) <= 22, "core {c}: {}", a.core_size(c));
         }
@@ -443,7 +438,7 @@ mod tests {
         let groups: Vec<IterationGroup> =
             (0..n).map(|j| mk(&[(j % 12) as usize], j..j + 1)).collect();
         assert_eq!(
-            optimal_assignment(groups, &fig9(), OptimalOptions::default()),
+            optimal_assignment(groups, &fig9(), 0.10),
             Err(OptimalError::TooManyGroups { got: n as usize })
         );
     }
@@ -454,7 +449,7 @@ mod tests {
         let groups: Vec<IterationGroup> = (0..6u32)
             .map(|j| mk(&[j as usize, (j as usize + 3) % 12], (j * 5)..((j + 1) * 5)))
             .collect();
-        let opt = optimal_assignment(groups.clone(), &m, OptimalOptions::default()).unwrap();
+        let opt = optimal_assignment(groups.clone(), &m, 0.10).unwrap();
         let opt_tags: Vec<Tag> = (0..4)
             .map(|c| {
                 let mut t = Tag::empty(12);
@@ -480,15 +475,7 @@ mod tests {
         let groups: Vec<IterationGroup> = (0..8u32)
             .map(|j| mk(&[j as usize, (j as usize + 2) % 12], (j * 4)..((j + 1) * 4)))
             .collect();
-        let a = optimal_assignment(
-            groups,
-            &fig9(),
-            OptimalOptions {
-                balance_threshold: 0.10,
-                node_budget: 50,
-            },
-        )
-        .unwrap();
+        let a = search_within(groups, &fig9(), 0.10, 50).unwrap();
         assert_eq!(a.total_iterations(), 32);
         for c in 0..4 {
             assert!(a.core_size(c) <= 10, "core {c}: {}", a.core_size(c));
@@ -504,7 +491,7 @@ mod tests {
         let groups: Vec<IterationGroup> = (0..8u32)
             .map(|j| mk(&[j as usize, (j as usize + 6) % 12], (j * 4)..((j + 1) * 4)))
             .collect();
-        let a = optimal_assignment(groups.clone(), &m, OptimalOptions::default()).unwrap();
+        let a = optimal_assignment(groups.clone(), &m, 0.10).unwrap();
         let tags_of = |a: &Assignment| -> Vec<Tag> {
             (0..4)
                 .map(|c| {

@@ -5,7 +5,7 @@
 
 use crate::baselines::{base_assignment, base_plus_assignment, local_assignment};
 use crate::cluster::{distribute, distribute_each, split_for_balance, LeafSplit};
-use crate::optimal::{optimal_assignment, OptimalOptions};
+use crate::optimal::optimal_assignment;
 use crate::pipeline::PipelineError;
 use crate::schedule::{schedule_dependence_only, schedule_local, Schedule};
 
@@ -132,14 +132,7 @@ impl MappingStrategy for Optimal {
         // groups, exactly as Strategy::TopologyAware would.
         let a_heur = distribute(groups.clone(), cx.machine, cx.params.balance_threshold);
         let groups = split_for_balance(groups, cx.n_cores(), cx.params.balance_threshold);
-        let a_model = optimal_assignment(
-            groups,
-            cx.machine,
-            OptimalOptions {
-                balance_threshold: cx.params.balance_threshold,
-                ..OptimalOptions::default()
-            },
-        )?;
+        let a_model = optimal_assignment(groups, cx.machine, cx.params.balance_threshold)?;
         // The search is exact for the *sharing-cost model*; the paper's ILP
         // objective coincided with its measured metric, ours is a
         // surrogate. Candidate-set minimization restores the reference

@@ -130,8 +130,9 @@ impl<'a> MappingContext<'a> {
     /// [`Self::grouped_units`] followed by dependence condensation — the
     /// group set the distribution-based strategies start from.
     pub fn condensed_groups(&self) -> Vec<IterationGroup> {
-        let (groups, _) = condense(self.grouped_units(), &self.space, &self.dep);
-        groups
+        let groups = self.grouped_units();
+        let graph = GroupDepGraph::build(&groups, &self.space, &self.dep);
+        condense(groups, &graph)
     }
 
     /// Rebuilds an acyclic per-core dependence graph after distribution:
@@ -160,7 +161,7 @@ impl<'a> MappingContext<'a> {
                 }
             }
         }
-        let (merged, _) = condense(flat, &self.space, &self.dep);
+        let merged = condense(flat, &graph);
         let mut per_core: Vec<Vec<IterationGroup>> = vec![Vec::new(); n_cores];
         for g in merged {
             let mut votes = vec![0usize; n_cores];

@@ -9,25 +9,29 @@
 //! 2. the classic *uniformly generated* test (equal linear parts, constant
 //!    offset difference) pins the distance directly, with a symbolic
 //!    realizability check against the concrete domain;
-//! 3. GCD and Banerjee screens ([`ctam_poly::screen_pair`]) prove many
-//!    remaining pairs independent outright;
-//! 4. conflict-set projection ([`ctam_poly::pair_distances`]) extracts the
-//!    exact distance set of any affine pair by Fourier–Motzkin elimination
-//!    with per-candidate integer rechecks — no domain enumeration;
+//! 3. GCD and Banerjee screens (`screen_pair`) prove many remaining pairs
+//!    independent outright;
+//! 4. conflict-set projection (`pair_distances`) extracts the exact
+//!    distance set of any affine pair by Fourier–Motzkin projection with
+//!    per-candidate integer rechecks — no domain enumeration;
 //! 5. pairs involving indirect (index-array) subscripts run the `ctam-ia`
 //!    screens over the table facts inferred by [`crate::indices`]:
 //!    disjoint-range separation, injective same-table reduction to the
 //!    affine selector problem, and band-widened conflict projection
-//!    ([`ctam_poly::banded_candidates`]);
+//!    (`banded_candidates`);
 //! 6. everything else — out-of-bounds affine references (whose accesses are
 //!    clamped at evaluation time), indirect pairs the facts cannot
 //!    separate, and pairs whose symbolic test exceeds its resource limits —
 //!    falls back to a *pair-restricted* enumeration of the concrete domain,
 //!    with the precise reason recorded per pair.
 //!
+//! The screens read the domain's bounding box, computed once per nest, and
+//! both projection rungs list their candidates through one routine
+//! (`distance_candidates`), capped at 2^16 per pair.
+//!
 //! [`analyze_nest`] runs the ladder and reports how every pair was settled
 //! ([`NestAnalysis::enumeration_free`] tells whether any pair needed the
-//! fallback); [`analyze`] returns just the resulting [`DependenceInfo`];
+//! fallback; its `info` is the merged [`DependenceInfo`]);
 //! [`analyze_exact`] remains as the classic whole-nest enumeration, the
 //! reference the ladder is tested against.
 
@@ -35,14 +39,17 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-use ctam_poly::{
-    banded_candidates, pair_distances, AffineExpr, AffineMap, ConstraintKind, DependenceOptions,
-    IntegerSet,
-};
+use ctam_poly::{AffineExpr, AffineMap, Constraint, ConstraintKind, FmError, IntegerSet};
 
 use crate::indices::IndexFacts;
 use crate::nest::{AccessKind, NestId, Subscript};
 use crate::program::Program;
+
+/// Most candidate distances a projected distance polyhedron may hold before
+/// its pair falls back to enumeration: weakly constrained subscripts (e.g. a
+/// constant subscript over a large domain) produce domain-sized candidate
+/// sets.
+const MAX_CANDIDATES: usize = 1 << 16;
 
 /// The dependence structure of one loop nest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -329,59 +336,53 @@ fn uniform_delta(ma: &AffineMap, mb: &AffineMap, depth: usize) -> Uniform {
     Uniform::Delta(delta.into_iter().map(|x| x.expect("checked")).collect())
 }
 
-/// The domain's constraints in `>= 0` form.
-fn domain_ge(dom: &IntegerSet) -> Vec<AffineExpr> {
-    let mut out = Vec::new();
+/// A constraint of `c`'s kind over `e`.
+fn same_kind(c: &Constraint, e: AffineExpr) -> Constraint {
+    match c.kind() {
+        ConstraintKind::Ge => Constraint::ge(e),
+        ConstraintKind::Eq => Constraint::eq(e),
+    }
+}
+
+/// `e(I + shift)`: the shift folds into the constant term.
+fn shifted(e: &AffineExpr, shift: &[i64]) -> AffineExpr {
+    let mut constant = e.constant_term();
+    for (v, &dv) in shift.iter().enumerate() {
+        constant += e.coeff(v) * dv;
+    }
+    AffineExpr::new(e.coeffs().to_vec(), constant)
+}
+
+/// The iterations `I` with `I` and `I + shift` both in the domain and
+/// `ea(I) = eb(I + shift)` for every row pair `(ea, eb)`.
+fn shifted_slice<'a>(
+    dom: &IntegerSet,
+    shift: &[i64],
+    rows: impl IntoIterator<Item = (&'a AffineExpr, &'a AffineExpr)>,
+) -> IntegerSet {
+    let mut set = dom.clone();
     for c in dom.constraints() {
-        match c.kind() {
-            ConstraintKind::Ge => out.push(c.expr().clone()),
-            ConstraintKind::Eq => {
-                out.push(c.expr().clone());
-                out.push(-c.expr().clone());
-            }
-        }
+        set = set.with_constraint(same_kind(c, shifted(c.expr(), shift)));
     }
-    out
-}
-
-/// The set of iterations `I` with both `I` and `I + d` in the domain.
-fn shift_set(dom: &IntegerSet, d: &[i64]) -> IntegerSet {
-    let mut b = IntegerSet::builder(dom.dim());
-    for e in domain_ge(dom) {
-        let mut shifted = e.constant_term();
-        for (v, &dv) in d.iter().enumerate() {
-            shifted += e.coeff(v) * dv;
-        }
-        b = b
-            .ge(AffineExpr::new(e.coeffs().to_vec(), shifted))
-            .ge(e.clone());
+    for (ea, eb) in rows {
+        set = set.with_constraint(Constraint::eq(ea.clone() - shifted(eb, shift)));
     }
-    b.build()
-}
-
-/// First iteration realizing the uniform distance `d` (both endpoints in
-/// the domain), or `None` when the shift is not realized.
-fn shift_witness(dom: &IntegerSet, d: &[i64]) -> Option<Vec<i64>> {
-    shift_set(dom, d).iter().next()
+    set
 }
 
 /// Range of an affine expression over a bounding box, corner-selected per
 /// coefficient sign, in `i128` (so composed flat-element expressions cannot
-/// overflow the screen).
-fn expr_range128(e: &AffineExpr, bbox: &[(i64, i64)]) -> (i128, i128) {
+/// overflow the screens); `None` if even that overflows.
+pub(crate) fn expr_range(e: &AffineExpr, bbox: &[(i64, i64)]) -> Option<(i128, i128)> {
     let mut lo = i128::from(e.constant_term());
     let mut hi = lo;
     for (v, &(blo, bhi)) in bbox.iter().enumerate() {
         let c = i128::from(e.coeff(v));
-        if c > 0 {
-            lo += c * i128::from(blo);
-            hi += c * i128::from(bhi);
-        } else if c < 0 {
-            lo += c * i128::from(bhi);
-            hi += c * i128::from(blo);
-        }
+        let (at_lo, at_hi) = if c < 0 { (bhi, blo) } else { (blo, bhi) };
+        lo = lo.checked_add(c * i128::from(at_lo))?;
+        hi = hi.checked_add(c * i128::from(at_hi))?;
     }
-    (lo, hi)
+    Some((lo, hi))
 }
 
 /// Flat-element expression of a multi-dimensional affine subscript
@@ -427,10 +428,10 @@ fn model_ref<'a>(
             if m.n_out() != decl.dims().len() {
                 return Err(format!("rank-mismatched subscript on `{name}`"));
             }
-            for (row, e) in m.exprs().iter().enumerate() {
-                let extent = decl.dims()[row] as i64;
-                let (lo, hi) = expr_range128(e, bbox);
-                if lo < 0 || hi >= i128::from(extent) {
+            for (e, &extent) in m.exprs().iter().zip(decl.dims()) {
+                let in_bounds =
+                    expr_range(e, bbox).is_some_and(|(lo, hi)| lo >= 0 && hi < i128::from(extent));
+                if !in_bounds {
                     return Err(format!(
                         "out-of-bounds affine subscript on `{name}` (accesses are clamped)"
                     ));
@@ -442,8 +443,9 @@ fn model_ref<'a>(
             if table.is_empty() {
                 return Err(format!("empty index table on `{name}`"));
             }
-            let (slo, shi) = expr_range128(selector, bbox);
-            if slo < 0 || shi >= table.len() as i128 {
+            let in_table = expr_range(selector, bbox)
+                .is_some_and(|(lo, hi)| lo >= 0 && hi < table.len() as i128);
+            if !in_table {
                 return Err(format!(
                     "indirect selector on `{name}` wraps modulo the table length"
                 ));
@@ -470,12 +472,12 @@ fn model_ref<'a>(
 
 impl RefModel<'_> {
     /// Over-approximate flat-element value range over the domain box.
-    fn element_range(&self, dims: &[u64], bbox: &[(i64, i64)]) -> (i128, i128) {
+    fn element_range(&self, dims: &[u64], bbox: &[(i64, i64)]) -> Option<(i128, i128)> {
         match self {
-            RefModel::Affine(m) => expr_range128(&flat_expr(dims, m), bbox),
+            RefModel::Affine(m) => expr_range(&flat_expr(dims, m), bbox),
             RefModel::Indirect { facts, .. } => {
                 let (lo, hi) = facts.range().expect("model_ref checked the range");
-                (i128::from(lo), i128::from(hi))
+                Some((i128::from(lo), i128::from(hi)))
             }
         }
     }
@@ -495,6 +497,232 @@ impl RefModel<'_> {
     }
 }
 
+/// Which screen proved a reference pair independent; its `Debug` text is
+/// the pair's detail.
+#[derive(Debug)]
+#[allow(dead_code)] // `row` is read only through the derived `Debug` text
+enum Independence {
+    /// The GCD row test: the gcd of subscript-row coefficients does not
+    /// divide the constant gap (e.g. `A[2i]` vs `A[2j+1]`).
+    Gcd { row: usize },
+    /// The Banerjee bounds test: the two subscript-row ranges over the
+    /// domain's bounding box do not intersect.
+    Bounds { row: usize },
+}
+
+/// Why a projection rung could not complete; its text is the fallback
+/// reason.
+enum DependenceError {
+    /// The Fourier–Motzkin projection overflowed or exceeded its cap.
+    Fm(FmError),
+    /// The projected distance polyhedron holds more than [`MAX_CANDIDATES`]
+    /// candidates.
+    TooManyCandidates,
+}
+
+impl fmt::Display for DependenceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DependenceError::Fm(e) => write!(f, "projection failed: {e}"),
+            DependenceError::TooManyCandidates => {
+                write!(f, "more than {MAX_CANDIDATES} candidate distances")
+            }
+        }
+    }
+}
+
+impl From<FmError> for DependenceError {
+    fn from(e: FmError) -> Self {
+        DependenceError::Fm(e)
+    }
+}
+
+/// Outcome of the exact rung for an affine pair.
+#[derive(Default)]
+struct PairDependence {
+    /// Exact distances, lexicographically positive and sorted; empty means
+    /// independent.
+    distances: Vec<Vec<i64>>,
+    /// Set when a screen proved independence before any projection ran.
+    screened: Option<Independence>,
+    /// Every candidate of the projected distance polyhedron.
+    candidates: Vec<Vec<i64>>,
+    /// One `(distance, iteration)` witness per distance.
+    witnesses: Vec<(Vec<i64>, Vec<i64>)>,
+}
+
+fn gcd(a: i64, b: i64) -> i64 {
+    let (mut a, mut b) = (a.abs(), b.abs());
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// The GCD and Banerjee screens on every subscript row of the pair. `Some`
+/// proves the references never touch the same element for any two
+/// iterations in the domain box (equal ones included); `None` means the
+/// screens are inconclusive, not that a dependence exists.
+fn screen_pair(bbox: &[(i64, i64)], a: &AffineMap, b: &AffineMap) -> Option<Independence> {
+    for (row, (ea, eb)) in a.exprs().iter().zip(b.exprs()).enumerate() {
+        // Solve ea(I) = eb(I'): the gcd of the variable part must divide
+        // the gap.
+        let g = ea
+            .coeffs()
+            .iter()
+            .chain(eb.coeffs())
+            .fold(0, |g, &c| gcd(g, c));
+        let gap = eb.constant_term() - ea.constant_term();
+        let divides = if g == 0 {
+            gap == 0
+        } else {
+            gap.rem_euclid(g) == 0
+        };
+        if !divides {
+            return Some(Independence::Gcd { row });
+        }
+        if let (Some((alo, ahi)), Some((blo, bhi))) = (expr_range(ea, bbox), expr_range(eb, bbox)) {
+            if ahi < blo || bhi < alo {
+                return Some(Independence::Bounds { row });
+            }
+        }
+    }
+    None
+}
+
+/// The row `ea(I) - eb(I + D)` over the `(D, I)` space.
+fn gap_row(ea: &AffineExpr, eb: &AffineExpr, d: usize) -> AffineExpr {
+    let mut coeffs = vec![0; 2 * d];
+    for v in 0..d {
+        coeffs[v] = -eb.coeff(v);
+        coeffs[d + v] = ea.coeff(v) - eb.coeff(v);
+    }
+    AffineExpr::new(coeffs, ea.constant_term() - eb.constant_term())
+}
+
+/// The conflict system over `(D, I)` (`D` at dimensions `0..d`, `I` at
+/// `d..2d`): `I` and `I + D` in the domain, plus the `rows` relating the
+/// two references.
+fn conflict_system(dom: &IntegerSet, rows: impl IntoIterator<Item = Constraint>) -> IntegerSet {
+    let d = dom.dim();
+    let mut set = IntegerSet::universe(2 * d);
+    for c in dom.constraints() {
+        let e = c.expr();
+        let mut at_i = vec![0; 2 * d];
+        at_i[d..].copy_from_slice(e.coeffs());
+        let mut at_shift = at_i.clone();
+        at_shift[..d].copy_from_slice(e.coeffs());
+        for at in [at_i, at_shift] {
+            set = set.with_constraint(same_kind(c, AffineExpr::new(at, e.constant_term())));
+        }
+    }
+    rows.into_iter().fold(set, IntegerSet::with_constraint)
+}
+
+/// Projects a conflict system onto its distance block `D` and lists the
+/// block's lexicographically-normalized non-zero integer points, sorted:
+/// the candidate distances. The projection is rational, so candidates may
+/// be unrealized; the exact rung rechecks them against the returned
+/// distance polyhedron's slices.
+fn distance_candidates(
+    conflict: &IntegerSet,
+    d: usize,
+) -> Result<(IntegerSet, Vec<Vec<i64>>), DependenceError> {
+    let dset = conflict.project(d)?;
+    // `None`: rationally empty (a bounded domain always bounds D). The box
+    // also bounds the point count, so the scan below stays under the cap.
+    let Some(bbox) = dset.bounding_box()? else {
+        return Ok((dset, Vec::new()));
+    };
+    let volume: u128 = bbox
+        .iter()
+        .map(|&(lo, hi)| (hi - lo + 1).max(0) as u128)
+        .product();
+    if volume > MAX_CANDIDATES as u128 {
+        return Err(DependenceError::TooManyCandidates);
+    }
+    if d > 1 {
+        // The scan reruns the eliminations of projecting onto dimension 0;
+        // hold them to the projection's cap, like the projection itself.
+        dset.project(1)?;
+    }
+    let candidates: BTreeSet<Vec<i64>> = dset.iter().filter_map(lex_positive).collect();
+    Ok((dset, candidates.into_iter().collect()))
+}
+
+/// The exact rung for two affine references: the screens, then the
+/// conflict-set projection, keeping each candidate realized by an integer
+/// iteration pair with the first realizing iteration as its witness.
+fn pair_distances(
+    dom: &IntegerSet,
+    bbox: &[(i64, i64)],
+    a: &AffineMap,
+    b: &AffineMap,
+) -> Result<PairDependence, DependenceError> {
+    if let Some(why) = screen_pair(bbox, a, b) {
+        return Ok(PairDependence {
+            screened: Some(why),
+            ..PairDependence::default()
+        });
+    }
+    let d = dom.dim();
+    let rows = a.exprs().iter().zip(b.exprs());
+    let gaps = rows
+        .clone()
+        .map(|(ea, eb)| Constraint::eq(gap_row(ea, eb, d)));
+    let conflict = conflict_system(dom, gaps);
+    let (dset, candidates) = distance_candidates(&conflict, d)?;
+    let mut out = PairDependence::default();
+    for norm in &candidates {
+        // A conflict between `I` and `I'` yields both `I' - I` and its
+        // mirror, which comes first in lexicographic order. The witness is
+        // stored in the normalized orientation (`I + D` when the mirror
+        // realized it), so it satisfies `b(W + D) = a(W)` or
+        // `a(W + D) = b(W)`.
+        let mirror: Vec<i64> = norm.iter().map(|&x| -x).collect();
+        let witness = [(&mirror, true), (norm, false)]
+            .into_iter()
+            .filter(|(raw, _)| dset.contains(raw))
+            .find_map(|(raw, flipped)| {
+                let point = shifted_slice(dom, raw, rows.clone()).iter().next()?;
+                Some(if flipped {
+                    point.iter().zip(raw).map(|(x, dx)| x + dx).collect()
+                } else {
+                    point
+                })
+            });
+        if let Some(w) = witness {
+            out.distances.push(norm.clone());
+            out.witnesses.push((norm.clone(), w));
+        }
+    }
+    out.candidates = candidates;
+    Ok(out)
+}
+
+/// Candidate distances of a band-widened conflict between two scalar index
+/// expressions: the non-zero `D` with `I` and `I + D` in the domain and
+/// `|a(I) − b(I + D)| ≤ slack`, lexicographically normalized and sorted.
+///
+/// When two references only satisfy `|flat(I) − a(I)| ≤ b_a` (an index
+/// table within band `b_a` of its selector `a`), any conflict forces the
+/// selectors within `b_a + b_b` of each other. The widened system has no
+/// equality rows to recheck, so the result over-approximates: empty proves
+/// independence, and a non-empty list only names distances the concrete
+/// tables might realize.
+fn banded_candidates(
+    dom: &IntegerSet,
+    a: &AffineExpr,
+    b: &AffineExpr,
+    slack: i64,
+) -> Result<Vec<Vec<i64>>, DependenceError> {
+    let d = dom.dim();
+    let gap = gap_row(a, b, d);
+    let slack = AffineExpr::constant(2 * d, slack);
+    let band = [gap.clone() + slack.clone(), slack - gap].map(Constraint::ge);
+    Ok(distance_candidates(&conflict_system(dom, band), d)?.1)
+}
+
 /// Runs the `ctam-ia` screens on a pair with at least one indirect side.
 /// `Ok` is a settled summary; `Err` is the reason the pair falls back to
 /// enumeration.
@@ -505,21 +733,22 @@ fn indirect_pair(
     (i, j): (usize, usize),
     a: &RefModel<'_>,
     b: &RefModel<'_>,
-    opts: &DependenceOptions,
 ) -> Result<PairSummary, String> {
     // Screen 1: disjoint element ranges can never touch the same element.
-    let (alo, ahi) = a.element_range(dims, bbox);
-    let (blo, bhi) = b.element_range(dims, bbox);
-    if ahi < blo || bhi < alo {
-        return Ok(PairSummary {
-            ref_a: i,
-            ref_b: j,
-            method: PairMethod::IndexRange,
-            distances: Vec::new(),
-            detail: format!("element ranges [{alo}, {ahi}] and [{blo}, {bhi}] are disjoint"),
-            candidates: Vec::new(),
-            witnesses: Vec::new(),
-        });
+    if let (Some((alo, ahi)), Some((blo, bhi))) =
+        (a.element_range(dims, bbox), b.element_range(dims, bbox))
+    {
+        if ahi < blo || bhi < alo {
+            return Ok(PairSummary {
+                ref_a: i,
+                ref_b: j,
+                method: PairMethod::IndexRange,
+                distances: Vec::new(),
+                detail: format!("element ranges [{alo}, {ahi}] and [{blo}, {bhi}] are disjoint"),
+                candidates: Vec::new(),
+                witnesses: Vec::new(),
+            });
+        }
     }
 
     // Screen 2: same injective table on both sides — elements collide
@@ -541,7 +770,7 @@ fn indirect_pair(
         if same_table && facts.injective() {
             let ma = AffineMap::new(dom.dim(), vec![(*sa).clone()]);
             let mb = AffineMap::new(dom.dim(), vec![(*sb).clone()]);
-            if let Ok(pd) = pair_distances(dom, &ma, &mb, opts) {
+            if let Ok(pd) = pair_distances(dom, bbox, &ma, &mb) {
                 let detail = match pd.screened {
                     Some(screen) => {
                         format!("injective table: selector equality screened ({screen:?})")
@@ -567,7 +796,7 @@ fn indirect_pair(
     // them exactly.
     let ((ea, ba), (eb, bb)) = (a.band_term(dims), b.band_term(dims));
     let slack = i64::try_from(u128::from(ba) + u128::from(bb)).unwrap_or(i64::MAX);
-    match banded_candidates(dom, &ea, &eb, slack, opts) {
+    match banded_candidates(dom, &ea, &eb, slack) {
         Ok(cands) if cands.is_empty() => Ok(PairSummary {
             ref_a: i,
             ref_b: j,
@@ -592,8 +821,11 @@ pub fn analyze_nest(program: &Program, nest: NestId) -> NestAnalysis {
     let n = program.nest(nest);
     let depth = n.depth();
     let dom = n.domain();
-    let bbox = dom.bounding_box();
-    let opts = DependenceOptions::default();
+    let bbox = match dom.bounding_box() {
+        Ok(Some(bb)) => Ok(bb),
+        Ok(None) => Err("empty or unbounded iteration domain".to_owned()),
+        Err(e) => Err(format!("iteration domain cannot be bounded: {e}")),
+    };
     let mut facts_cache: HashMap<usize, IndexFacts> = HashMap::new();
 
     let mut pairs: Vec<PairSummary> = Vec::new();
@@ -607,9 +839,12 @@ pub fn analyze_nest(program: &Program, nest: NestId) -> NestAnalysis {
             if a.kind() == AccessKind::Read && b.kind() == AccessKind::Read {
                 continue;
             }
-            let Some(bb) = bbox.as_ref() else {
-                pending.push((i, j, "empty or unbounded iteration domain".to_owned()));
-                continue;
+            let bb = match &bbox {
+                Ok(bb) => bb,
+                Err(why) => {
+                    pending.push((i, j, why.clone()));
+                    continue;
+                }
             };
             let model_a = model_ref(program, a, bb, &mut facts_cache);
             let model_b = model_ref(program, b, bb, &mut facts_cache);
@@ -632,7 +867,7 @@ pub fn analyze_nest(program: &Program, nest: NestId) -> NestAnalysis {
                 (RefModel::Affine(ma), RefModel::Affine(mb)) => (*ma, *mb),
                 _ => {
                     let dims = program.array(a.array()).dims();
-                    match indirect_pair(dom, bb, dims, (i, j), &model_a, &model_b, &opts) {
+                    match indirect_pair(dom, bb, dims, (i, j), &model_a, &model_b) {
                         Ok(summary) => pairs.push(summary),
                         Err(why) => pending.push((i, j, why)),
                     }
@@ -659,7 +894,7 @@ pub fn analyze_nest(program: &Program, nest: NestId) -> NestAnalysis {
                         // The constant distance must be realized by some
                         // iteration pair of the concrete domain; the first
                         // realizing iteration doubles as the witness.
-                        if let Some(w) = shift_witness(dom, &d) {
+                        if let Some(w) = shifted_slice(dom, &d, []).iter().next() {
                             witnesses.push((d.clone(), w));
                             distances.push(d);
                         }
@@ -677,7 +912,7 @@ pub fn analyze_nest(program: &Program, nest: NestId) -> NestAnalysis {
                 }
                 Uniform::NotApplicable | Uniform::UnderConstrained => {}
             }
-            match pair_distances(dom, ma, mb, &opts) {
+            match pair_distances(dom, bb, ma, mb) {
                 Ok(pd) => {
                     let (method, detail) = match pd.screened {
                         Some(why) => (PairMethod::Screened, format!("{why:?}")),
@@ -830,13 +1065,6 @@ pub fn analyze_exact(program: &Program, nest: NestId) -> DependenceInfo {
     }
 }
 
-/// The hybrid analysis' merged result (always exact for the concrete
-/// domain): symbolic wherever the ladder applies, pair-restricted
-/// enumeration otherwise.
-pub fn analyze(program: &Program, nest: NestId) -> DependenceInfo {
-    analyze_nest(program, nest).info
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -898,7 +1126,7 @@ mod tests {
                 .with_ref(ArrayRef::write(a, w))
                 .with_ref(ArrayRef::read(a, r)),
         );
-        let info = analyze(&p, id);
+        let info = analyze_nest(&p, id).info;
         assert_eq!(info.distances(), &[vec![0, 1]]);
         assert_eq!(info.carried_levels(), BTreeSet::from([1]));
         assert_eq!(info.outermost_parallel(), Some(0));
@@ -918,7 +1146,7 @@ mod tests {
                 .with_ref(ArrayRef::read(a, AffineMap::identity(1)))
                 .with_ref(ArrayRef::read(b, AffineMap::identity(1))),
         );
-        let info = analyze(&p, id);
+        let info = analyze_nest(&p, id).info;
         assert!(info.is_fully_parallel());
         assert_eq!(info.outermost_parallel(), Some(0));
     }
@@ -1075,7 +1303,7 @@ mod tests {
         );
         // Out-of-bounds subscript (i-12 < 0): the engine falls back to
         // enumeration, which sees the clamped accesses.
-        let info = analyze(&p, id);
+        let info = analyze_nest(&p, id).info;
         assert_eq!(info.distances(), analyze_exact(&p, id).distances());
         assert!(!info.distances().contains(&vec![12]));
     }
@@ -1091,7 +1319,7 @@ mod tests {
                 .with_ref(ArrayRef::read(a, zero.clone()))
                 .with_ref(ArrayRef::read(a, zero)),
         );
-        let info = analyze(&p, id);
+        let info = analyze_nest(&p, id).info;
         assert!(info.is_fully_parallel());
     }
 
@@ -1302,5 +1530,240 @@ mod tests {
             own.detail
         );
         assert_eq!(own.distances, vec![vec![4]]);
+    }
+
+    fn map1(coeff: i64, konst: i64) -> AffineMap {
+        AffineMap::new(
+            1,
+            vec![AffineExpr::var(1, 0) * coeff + AffineExpr::constant(1, konst)],
+        )
+    }
+
+    fn line(n: i64) -> IntegerSet {
+        IntegerSet::builder(1).bounds(0, 0, n - 1).build()
+    }
+
+    /// The exact rung over `dom`'s bounding box, as `analyze_nest` runs it.
+    fn exact(dom: &IntegerSet, a: &AffineMap, b: &AffineMap) -> PairDependence {
+        let bbox = dom.bounding_box().unwrap().expect("bounded domain");
+        pair_distances(dom, &bbox, a, b).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    #[test]
+    fn even_vs_odd_subscripts_are_independent_by_gcd() {
+        // A[2i] vs A[2i'+1]: rationally dependent (i' = i - 1/2), but gcd 2
+        // does not divide the gap 1 — the integer-exactness case.
+        let dom = line(64);
+        let (w, r) = (map1(2, 0), map1(2, 1));
+        let gcd_row0 = |s: Option<Independence>| matches!(s, Some(Independence::Gcd { row: 0 }));
+        assert!(gcd_row0(screen_pair(&[(0, 63)], &w, &r)));
+        let pd = exact(&dom, &w, &r);
+        assert!(pd.distances.is_empty());
+        assert!(gcd_row0(pd.screened));
+    }
+
+    #[test]
+    fn disjoint_ranges_are_independent_by_bounds() {
+        // A[i] vs A[i + 100] over i in [0, 50): ranges [0,49] and [100,149].
+        let pd = exact(&line(50), &map1(1, 0), &map1(1, 100));
+        assert!(matches!(pd.screened, Some(Independence::Bounds { row: 0 })));
+    }
+
+    #[test]
+    fn shifted_reference_has_unit_distance() {
+        // A[i] vs A[i-1]: conflict at I' = I + 1, distance 1.
+        let pd = exact(&line(10), &map1(1, 0), &map1(1, -1));
+        assert_eq!(pd.distances, vec![vec![1]]);
+        assert!(pd.screened.is_none());
+    }
+
+    #[test]
+    fn scaled_pair_distance_respects_integrality() {
+        // A[2i] vs A[2i-4]: distance 2 (not the rational 2i = 2i'-4 family).
+        let pd = exact(&line(32), &map1(2, 0), &map1(2, -4));
+        assert_eq!(pd.distances, vec![vec![2]]);
+    }
+
+    #[test]
+    fn two_dimensional_diagonal_conflicts() {
+        // B[i+j] vs B[i+j-1] over a square: distances along i+j = 1.
+        let dom = IntegerSet::builder(2)
+            .bounds(0, 0, 3)
+            .bounds(1, 0, 3)
+            .build();
+        let sum = AffineMap::new(2, vec![AffineExpr::var(2, 0) + AffineExpr::var(2, 1)]);
+        let sum_m1 = AffineMap::new(
+            2,
+            vec![AffineExpr::var(2, 0) + AffineExpr::var(2, 1) - AffineExpr::constant(2, 1)],
+        );
+        let pd = exact(&dom, &sum, &sum_m1);
+        // D0 + D1 = 1 with both iterations in the box, normalized: includes
+        // (0,1) and (1,0), plus skewed pairs like (1,-2) .. (3,-2) etc.
+        assert!(pd.distances.contains(&vec![0, 1]));
+        assert!(pd.distances.contains(&vec![1, 0]));
+        assert!(pd.distances.iter().all(|dv| (dv[0] + dv[1]).abs() == 1));
+    }
+
+    #[test]
+    fn self_pair_of_injective_reference_has_no_distance() {
+        let pd = exact(&line(16), &map1(1, 0), &map1(1, 0));
+        assert!(pd.distances.is_empty());
+        assert!(pd.screened.is_none());
+    }
+
+    #[test]
+    fn candidate_cap_is_reported() {
+        // S[0] vs S[0] over a line of 2^16 points: every non-zero D in
+        // (-2^16, 2^16) is a candidate.
+        let dom = line(1 << 16);
+        let konst = map1(0, 0);
+        let err = pair_distances(&dom, &[(0, (1 << 16) - 1)], &konst, &konst)
+            .err()
+            .expect("over the cap");
+        assert!(matches!(err, DependenceError::TooManyCandidates));
+        assert_eq!(err.to_string(), "more than 65536 candidate distances");
+    }
+
+    #[test]
+    fn empty_domain_pairs_enumerate_to_nothing() {
+        // The rungs never see an empty domain: its pairs go straight to
+        // the (empty) enumeration.
+        let mut p = Program::new("empty");
+        let a = p.add_array("A", &[8], 8);
+        let d = IntegerSet::builder(1).bounds(0, 5, 2).build();
+        let id = p.add_nest(
+            LoopNest::new("n", d)
+                .with_ref(ArrayRef::write(a, map1(1, 0)))
+                .with_ref(ArrayRef::read(a, map1(1, -1))),
+        );
+        let analysis = analyze_nest(&p, id);
+        assert!(analysis.info.is_fully_parallel());
+        for pair in &analysis.pairs {
+            assert_eq!(pair.method, PairMethod::Enumerated);
+            assert_eq!(
+                pair.detail,
+                "enumerated: empty or unbounded iteration domain"
+            );
+        }
+    }
+
+    #[test]
+    fn banded_widening_excludes_far_distances() {
+        // a = 2i (a band-1 table's selector, doubled), b = 2i: any conflict
+        // needs |2D| <= 1, so D = 0 is the only candidate — and the zero
+        // vector is never reported. Independence, no enumeration.
+        let two_i = AffineExpr::var(1, 0) * 2;
+        let got = banded_candidates(&line(32), &two_i, &two_i, 1).unwrap_or_else(|e| panic!("{e}"));
+        assert!(got.is_empty(), "{got:?}");
+    }
+
+    #[test]
+    fn banded_widening_lists_near_distances() {
+        // |I - (I + D)| <= 2 over a line: candidates D in {1, 2} after
+        // normalization (the over-approximation callers must resolve).
+        let i = AffineExpr::var(1, 0);
+        let got = banded_candidates(&line(16), &i, &i, 2).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(got, vec![vec![1], vec![2]]);
+    }
+
+    #[test]
+    fn banded_respects_candidate_cap() {
+        let i = AffineExpr::var(1, 0);
+        let got = banded_candidates(&line(1 << 17), &i, &i, 1 << 16);
+        assert!(matches!(got, Err(DependenceError::TooManyCandidates)));
+    }
+
+    #[test]
+    fn matches_enumeration_on_a_triangle() {
+        // Non-rectangular domain: 0 <= i <= 7, 0 <= j <= i, A[i][j] vs
+        // A[i-1][j]: distance (1, 0) wherever both points are in the
+        // triangle.
+        let dom = IntegerSet::builder(2)
+            .bounds(0, 0, 7)
+            .lower(1, 0)
+            .le_var(1, 0)
+            .build();
+        let up = AffineMap::new(
+            2,
+            vec![
+                AffineExpr::var(2, 0) - AffineExpr::constant(2, 1),
+                AffineExpr::var(2, 1),
+            ],
+        );
+        let pd = exact(&dom, &AffineMap::identity(2), &up);
+        assert_eq!(pd.distances, vec![vec![1, 0]]);
+    }
+
+    #[test]
+    fn distance_polyhedron_bounding_is_capped() {
+        // A 9-point domain whose redundant coupled bound makes bounding the
+        // write/read pair's distance polyhedron ask for 42 million
+        // constraints in one elimination step, gigabytes of memory: the
+        // step's cap turns that into an enumerated pair.
+        let mut p = Program::new("blowup");
+        let a = p.add_array("A", &[56, 60], 8);
+        let d = IntegerSet::builder(3)
+            .bounds(0, -2, -2)
+            .bounds(1, 2, 10)
+            .bounds(2, 0, 0)
+            .ge(AffineExpr::new(vec![-1, 2, -1], 1))
+            .build();
+        let row = |c: [i64; 3], k: i64| AffineExpr::new(c.to_vec(), k);
+        let w = AffineMap::new(3, vec![row([0, 2, -2], -1), row([2, 2, -2], 8)]);
+        let r = AffineMap::new(3, vec![row([-1, -1, 0], 12), row([-2, 1, -2], 13)]);
+        let id = p.add_nest(
+            LoopNest::new("n", d)
+                .with_ref(ArrayRef::write(a, w))
+                .with_ref(ArrayRef::read(a, r)),
+        );
+        let analysis = analyze_nest(&p, id);
+        let pair = &analysis.pairs[1];
+        assert_eq!(
+            (pair.ref_a, pair.ref_b, pair.method),
+            (0, 1, PairMethod::Enumerated)
+        );
+        assert!(pair.detail.ends_with("(limit 1048576)"), "{}", pair.detail);
+        assert_eq!(analysis.info, analyze_exact(&p, id));
+    }
+
+    /// `A[i][j] = A[j][i]` over an `n × n` square.
+    fn transpose(n: i64) -> (Program, NestId) {
+        let mut p = Program::new("transpose");
+        let a = p.add_array("A", &[n as u64, n as u64], 8);
+        let d = IntegerSet::builder(2)
+            .bounds(0, 0, n - 1)
+            .bounds(1, 0, n - 1)
+            .build();
+        let swapped = AffineMap::new(2, vec![AffineExpr::var(2, 1), AffineExpr::var(2, 0)]);
+        let id = p.add_nest(
+            LoopNest::new("t", d)
+                .with_ref(ArrayRef::write(a, AffineMap::identity(2)))
+                .with_ref(ArrayRef::read(a, swapped)),
+        );
+        (p, id)
+    }
+
+    #[test]
+    fn candidate_cap_sends_the_pair_to_enumeration() {
+        // The transpose pair's distance box is (2n - 1)^2: 239^2 = 57,121
+        // candidates at n = 120 stay under the 2^16 cap, 259^2 = 67,081 at
+        // n = 130 do not.
+        for (n, method) in [(120, PairMethod::Symbolic), (130, PairMethod::Enumerated)] {
+            let (p, id) = transpose(n);
+            let analysis = analyze_nest(&p, id);
+            let pair = analysis
+                .pairs
+                .iter()
+                .find(|p| (p.ref_a, p.ref_b) == (0, 1))
+                .expect("pair analyzed");
+            assert_eq!(pair.method, method, "n = {n}");
+            if method == PairMethod::Enumerated {
+                assert_eq!(
+                    pair.detail,
+                    "enumerated: more than 65536 candidate distances"
+                );
+            }
+            assert_eq!(analysis.info, analyze_exact(&p, id), "n = {n}");
+        }
     }
 }

@@ -9,6 +9,7 @@
 //! affine (defeating exact dependence analysis — such references are handled
 //! conservatively downstream).
 
+use crate::dependence::expr_range;
 use crate::{ArrayId, NestId, Program, Subscript};
 
 /// What a subscript lint found.
@@ -54,7 +55,8 @@ pub struct SubscriptLint {
 pub fn lint_nest(program: &Program, nest: NestId) -> Vec<SubscriptLint> {
     let n = program.nest(nest);
     let mut out = Vec::new();
-    let bbox = n.domain().bounding_box();
+    // A domain Fourier–Motzkin cannot bound is linted like an empty one.
+    let bbox = n.domain().bounding_box().ok().flatten();
     for (ref_index, r) in n.refs().iter().enumerate() {
         let decl = program.array(r.array());
         let lint = |kind, detail| SubscriptLint {
@@ -81,25 +83,14 @@ pub fn lint_nest(program: &Program, nest: NestId) -> Vec<SubscriptLint> {
                 let Some(bbox) = &bbox else { continue }; // empty domain: nothing runs
                 for (d, expr) in map.exprs().iter().enumerate() {
                     let extent = decl.extent(d);
-                    // Min/max of an affine expression over a box sit at the
-                    // corners selected by coefficient signs.
-                    let mut lo = expr.constant_term();
-                    let mut hi = expr.constant_term();
-                    for (v, &c) in expr.coeffs().iter().enumerate() {
-                        let (blo, bhi) = bbox[v];
-                        if c >= 0 {
-                            lo += c * blo;
-                            hi += c * bhi;
-                        } else {
-                            lo += c * bhi;
-                            hi += c * blo;
-                        }
-                    }
-                    if lo < 0 || hi >= extent as i64 {
+                    let range = expr_range(expr, bbox);
+                    if !range.is_some_and(|(lo, hi)| lo >= 0 && hi < i128::from(extent)) {
+                        let span = range
+                            .map_or("beyond i128".to_owned(), |(lo, hi)| format!("[{lo}, {hi}]"));
                         out.push(lint(
                             LintKind::OutOfBounds,
                             format!(
-                                "dimension {d} of `{}` spans [{lo}, {hi}] but the \
+                                "dimension {d} of `{}` spans {span} but the \
                                  declared extent is [0, {})",
                                 decl.name(),
                                 extent
@@ -138,23 +129,11 @@ pub fn lint_nest(program: &Program, nest: NestId) -> Vec<SubscriptLint> {
                 // selector wraps modulo the table length, so a selector that
                 // stays inside `[0, len)` pins the reachable row window,
                 // while one that strays makes every row reachable.
-                let mut slo = selector.constant_term();
-                let mut shi = selector.constant_term();
-                for (v, &c) in selector.coeffs().iter().enumerate() {
-                    let (blo, bhi) = bbox[v];
-                    if c >= 0 {
-                        slo += c * blo;
-                        shi += c * bhi;
-                    } else {
-                        slo += c * bhi;
-                        shi += c * blo;
+                let (rlo, rhi) = match expr_range(selector, bbox) {
+                    Some((lo, hi)) if lo >= 0 && hi < table.len() as i128 => {
+                        (lo as usize, hi as usize)
                     }
-                }
-                let len = table.len() as i64;
-                let (rlo, rhi) = if slo >= 0 && shi < len {
-                    (slo as usize, shi as usize)
-                } else {
-                    (0, table.len() - 1)
+                    _ => (0, table.len() - 1),
                 };
                 let n_elements = decl.n_elements();
                 let mut worst = (table[rlo], rlo);
@@ -212,6 +191,23 @@ mod tests {
         assert_eq!(lints.len(), 1);
         assert_eq!(lints[0].kind, LintKind::OutOfBounds);
         assert!(lints[0].detail.contains("[4, 67]"), "{}", lints[0].detail);
+    }
+
+    #[test]
+    fn huge_coefficients_do_not_overflow_the_span() {
+        // 2^62 * i over i in [0, 3] spans past `i64`; the lint still
+        // reports the exact span.
+        let p = crate::parse::parse_program(
+            "program p { array A[16] : 8; for n (i = 0 .. 3) { A[4611686018427387904 * i] = 1; } }",
+        )
+        .unwrap();
+        let (id, _) = p.nests().next().unwrap();
+        let lints = lint_nest(&p, id);
+        assert_eq!(lints.len(), 1);
+        assert_eq!(
+            lints[0].detail,
+            "dimension 0 of `A` spans [0, 13835058055282163712] but the declared extent is [0, 16)"
+        );
     }
 
     #[test]

@@ -113,6 +113,15 @@ fn lower_nest(
             .ge(hi - AffineExpr::var(depth, d));
     }
     let domain = builder.build();
+    // Every later pass bounds and enumerates the domain by Fourier–Motzkin
+    // elimination; bounding it once here proves those eliminations succeed.
+    if let Err(e) = domain.bounding_box() {
+        return Err(ParseError::new(
+            format!("loop bounds of nest '{}' cannot be bounded: {e}", ast.name),
+            1,
+            1,
+        ));
+    }
 
     let mut nest = LoopNest::new(&ast.name, domain);
     let add_ref = |nest: LoopNest, r: &AstRef, kind: AccessKind| -> Result<LoopNest, ParseError> {
@@ -158,8 +167,10 @@ fn lower_nest(
 /// # Errors
 ///
 /// [`ParseError`] on undeclared arrays, subscript arity mismatches,
-/// non-affine expressions, duplicate declarations, or arrays whose size in
-/// bytes, or the cache-line-aligned end of the data layout, overflows `u64`.
+/// non-affine expressions, duplicate declarations, arrays whose size in
+/// bytes, or the cache-line-aligned end of the data layout, overflows `u64`,
+/// or loop bounds whose Fourier–Motzkin bounding box overflows `i64` or
+/// exceeds the elimination's constraint cap.
 pub fn lower(ast: &AstProgram) -> Result<Program, ParseError> {
     let mut program = Program::new(&ast.name);
     let mut arrays: HashMap<&str, (ArrayId, usize)> = HashMap::new();
@@ -212,6 +223,20 @@ mod tests {
             let err = parse_program(src).expect_err(src);
             assert!(err.message.contains("64-bit data space"), "{err}");
         }
+    }
+
+    #[test]
+    fn bounds_past_the_elimination_arithmetic_rejected() {
+        // Bounding `j` eliminates `i`, which scales `i <= 2^30` by 2^40,
+        // past `i64`.
+        let src = "program p { array A[16] : 8; \
+                   for n (i = 0 .. 1073741824, j = 0 .. 1099511627776 * i) { A[0] = A[0] + 1; } }";
+        let err = parse_program(src).expect_err(src);
+        assert_eq!(
+            err.message,
+            "loop bounds of nest 'n' cannot be bounded: \
+             i64 overflow while eliminating dimension 0"
+        );
     }
 
     #[test]

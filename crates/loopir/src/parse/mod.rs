@@ -132,7 +132,7 @@ mod tests {
     fn figure5_dependences_match_hand_built_version() {
         let p = parse_program(FIG5).unwrap();
         let (id, _) = p.nests().next().unwrap();
-        let info = dependence::analyze(&p, id);
+        let info = dependence::analyze_nest(&p, id).info;
         assert_eq!(info.distances(), &[vec![4]]);
     }
 

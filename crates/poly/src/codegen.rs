@@ -9,27 +9,11 @@
 //! `min`/`ceild`/`floord` combiners, exactly in Omega's output style).
 
 use crate::expr::AffineExpr;
-use crate::fm::{normalize_to_ge, project_onto_prefix};
+use crate::fm::{normalize_to_ge, project_onto_prefix, MAX_CONSTRAINTS};
 use crate::set::IntegerSet;
 
-/// Options controlling emitted code.
-#[derive(Debug, Clone)]
-pub struct CodegenOptions {
-    /// Statement emitted in the innermost body; `{args}` is replaced by the
-    /// comma-separated loop indices.
-    pub body: String,
-    /// Spaces per indentation level.
-    pub indent: usize,
-}
-
-impl Default for CodegenOptions {
-    fn default() -> Self {
-        Self {
-            body: "S({args});".to_owned(),
-            indent: 2,
-        }
-    }
-}
+/// Spaces per indentation level.
+const INDENT: usize = 2;
 
 /// Formats the bound contributed by one constraint on `var` at nesting
 /// level `var` (outer dims are symbolic).
@@ -65,14 +49,20 @@ fn combine(terms: Vec<String>, f: &str) -> String {
 
 /// Generates a C-like loop nest enumerating the points of `set`.
 ///
-/// Returns `None` if the set is provably (rationally) empty at the outermost
-/// level or unbounded in some enumeration direction, in which case no loop
-/// nest with finite bounds exists.
+/// The innermost body is the statement `S(i, j, ...)` over the set's
+/// dimension names. Returns `None` if the set is provably (rationally) empty
+/// at the outermost level or unbounded in some enumeration direction, in
+/// which case no loop nest with finite bounds exists.
+///
+/// # Panics
+///
+/// Panics if Fourier–Motzkin elimination fails, which
+/// [`IntegerSet::bounding_box`] reports as an error first.
 ///
 /// # Example
 ///
 /// ```
-/// use ctam_poly::{generate_loop_nest, CodegenOptions, IntegerSet};
+/// use ctam_poly::{generate_loop_nest, IntegerSet};
 ///
 /// let tri = IntegerSet::builder(2)
 ///     .names(["i", "j"])
@@ -80,18 +70,19 @@ fn combine(terms: Vec<String>, f: &str) -> String {
 ///     .lower(1, 0)
 ///     .le_var(1, 0)
 ///     .build();
-/// let code = generate_loop_nest(&tri, &CodegenOptions::default()).unwrap();
+/// let code = generate_loop_nest(&tri).unwrap();
 /// assert!(code.contains("for (i = 0; i <= 9; i++)"));
 /// assert!(code.contains("for (j = 0; j <= i; j++)"));
 /// ```
-pub fn generate_loop_nest(set: &IntegerSet, opts: &CodegenOptions) -> Option<String> {
+pub fn generate_loop_nest(set: &IntegerSet) -> Option<String> {
     let names = set.names().to_vec();
     let ge = normalize_to_ge(set.constraints());
     let mut lines: Vec<String> = Vec::new();
-    let pad = |d: usize| " ".repeat(d * opts.indent);
+    let pad = |d: usize| " ".repeat(d * INDENT);
     let mut guards: Vec<String> = Vec::new();
     for d in 0..set.dim() {
-        let proj = project_onto_prefix(&ge, d + 1, set.dim());
+        let proj = project_onto_prefix(&ge, d + 1, set.dim(), MAX_CONSTRAINTS)
+            .unwrap_or_else(|e| panic!("Fourier–Motzkin elimination failed: {e}"));
         let mut lowers = Vec::new();
         let mut uppers = Vec::new();
         for e in &proj {
@@ -130,12 +121,7 @@ pub fn generate_loop_nest(set: &IntegerSet, opts: &CodegenOptions) -> Option<Str
     if !guards.is_empty() {
         lines.push(format!("{}if ({}) {{", pad(set.dim()), guards.join(" && ")));
     }
-    let args = names.join(", ");
-    lines.push(format!(
-        "{}{}",
-        pad(body_depth),
-        opts.body.replace("{args}", &args)
-    ));
+    lines.push(format!("{}S({});", pad(body_depth), names.join(", ")));
     if !guards.is_empty() {
         lines.push(format!("{}}}", pad(set.dim())));
     }
@@ -149,11 +135,11 @@ pub fn generate_loop_nest(set: &IntegerSet, opts: &CodegenOptions) -> Option<Str
 /// on one core, in schedule order), separated by comments.
 ///
 /// Sets that are empty or unbounded are emitted as a comment noting the skip.
-pub fn generate_union(sets: &[IntegerSet], opts: &CodegenOptions) -> String {
+pub fn generate_union(sets: &[IntegerSet]) -> String {
     let mut out = Vec::new();
     for (k, s) in sets.iter().enumerate() {
         out.push(format!("// iteration group {k}"));
-        match generate_loop_nest(s, opts) {
+        match generate_loop_nest(s) {
             Some(code) => out.push(code),
             None => out.push("// (empty or unbounded set: skipped)".to_owned()),
         }
@@ -172,7 +158,7 @@ mod tests {
             .bounds(0, 0, 3)
             .bounds(1, 2, 5)
             .build();
-        let code = generate_loop_nest(&s, &CodegenOptions::default()).unwrap();
+        let code = generate_loop_nest(&s).unwrap();
         assert!(code.contains("for (i = 0; i <= 3; i++)"), "{code}");
         assert!(code.contains("for (j = 2; j <= 5; j++)"), "{code}");
         assert!(code.contains("S(i, j);"), "{code}");
@@ -186,7 +172,7 @@ mod tests {
             .lower(1, 0)
             .le_var(1, 0)
             .build();
-        let code = generate_loop_nest(&s, &CodegenOptions::default()).unwrap();
+        let code = generate_loop_nest(&s).unwrap();
         assert!(code.contains("j <= i"), "{code}");
     }
 
@@ -199,33 +185,22 @@ mod tests {
             .bounds(1, 0, 7)
             .ge(crate::AffineExpr::new(vec![-1, 2], 0))
             .build();
-        let code = generate_loop_nest(&s, &CodegenOptions::default()).unwrap();
+        let code = generate_loop_nest(&s).unwrap();
         assert!(code.contains("ceild(i, 2)"), "{code}");
     }
 
     #[test]
     fn unbounded_set_returns_none() {
         let s = IntegerSet::builder(1).lower(0, 0).build();
-        assert!(generate_loop_nest(&s, &CodegenOptions::default()).is_none());
+        assert!(generate_loop_nest(&s).is_none());
     }
 
     #[test]
     fn union_labels_groups() {
         let a = IntegerSet::builder(1).bounds(0, 0, 1).build();
         let b = IntegerSet::builder(1).bounds(0, 5, 6).build();
-        let code = generate_union(&[a, b], &CodegenOptions::default());
+        let code = generate_union(&[a, b]);
         assert!(code.contains("// iteration group 0"));
         assert!(code.contains("// iteration group 1"));
-    }
-
-    #[test]
-    fn custom_body_template() {
-        let s = IntegerSet::builder(1).names(["t"]).bounds(0, 0, 0).build();
-        let opts = CodegenOptions {
-            body: "B[{args}] += 1;".to_owned(),
-            indent: 4,
-        };
-        let code = generate_loop_nest(&s, &opts).unwrap();
-        assert!(code.contains("B[t] += 1;"), "{code}");
     }
 }

@@ -10,39 +10,19 @@ use std::fmt;
 use crate::expr::AffineExpr;
 use crate::set::{Constraint, ConstraintKind};
 
-/// Resource limits for a Fourier–Motzkin elimination.
-///
-/// One elimination step replaces `|lowers| × |uppers|` constraint pairs by
-/// their combinations, so intermediate systems can grow quadratically per
-/// eliminated dimension; `max_constraints` bounds that growth. The checked
-/// combination arithmetic independently guards against `i64` overflow of
-/// scaled coefficients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FmLimits {
-    /// Maximum number of constraints any intermediate system may reach.
-    pub max_constraints: usize,
-}
+/// Most constraints one elimination step may produce for bounding boxes,
+/// enumeration and code generation. A step replaces `|lowers| × |uppers|`
+/// constraint pairs by their combinations, so systems can grow
+/// quadratically per eliminated dimension; the cap stops the systems that
+/// would otherwise grow until memory runs out.
+pub(crate) const MAX_CONSTRAINTS: usize = 1 << 20;
 
-impl FmLimits {
-    /// No constraint-count cap (overflow is still checked).
-    pub fn unbounded() -> Self {
-        Self {
-            max_constraints: usize::MAX,
-        }
-    }
-}
+/// The cap of [`crate::IntegerSet::project`]: the conflict systems of a
+/// dependence test double a nest's dimension count, and projecting one
+/// fails fast instead of growing.
+pub(crate) const MAX_PROJECTED_CONSTRAINTS: usize = 4096;
 
-impl Default for FmLimits {
-    /// A generous default (4096 constraints) suitable for dependence
-    /// analysis of real loop nests, where systems stay tiny.
-    fn default() -> Self {
-        Self {
-            max_constraints: 4096,
-        }
-    }
-}
-
-/// Why a fallible Fourier–Motzkin elimination gave up.
+/// Why a Fourier–Motzkin elimination gave up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FmError {
     /// Combining a lower/upper pair overflowed `i64` coefficient arithmetic.
@@ -50,13 +30,13 @@ pub enum FmError {
         /// The dimension being eliminated when the overflow occurred.
         dim: usize,
     },
-    /// An elimination step would exceed [`FmLimits::max_constraints`].
+    /// An elimination step would exceed its constraint cap.
     TooManyConstraints {
         /// The dimension being eliminated when the cap was hit.
         dim: usize,
         /// Constraints the step would have produced.
         required: usize,
-        /// The configured cap.
+        /// The cap.
         limit: usize,
     },
 }
@@ -125,25 +105,13 @@ fn reduce(expr: &AffineExpr) -> AffineExpr {
 
 /// Eliminates dimension `dim` from a list of `expr >= 0` inequalities by
 /// Fourier–Motzkin, returning inequalities over the remaining dimensions
-/// (the eliminated dimension keeps its slot with a zero coefficient).
-///
-/// # Panics
-///
-/// Panics if combining a lower/upper constraint pair overflows `i64`
-/// coefficient arithmetic; use [`try_eliminate_dim`] to handle that case.
-/// (Sets built from loop bounds and subscripts stay far below the overflow
-/// range.)
-pub fn eliminate_dim(ge_exprs: &[AffineExpr], dim: usize) -> Vec<AffineExpr> {
-    try_eliminate_dim(ge_exprs, dim, &FmLimits::unbounded())
-        .unwrap_or_else(|e| panic!("Fourier–Motzkin elimination failed: {e}"))
-}
-
-/// Fallible [`eliminate_dim`]: checked coefficient arithmetic plus a cap on
-/// the number of constraints one step may produce.
-pub fn try_eliminate_dim(
+/// (the eliminated dimension keeps its slot with a zero coefficient), sorted
+/// and deduplicated. Coefficient arithmetic is checked, and the step may
+/// produce at most `limit` constraints.
+pub(crate) fn eliminate_dim(
     ge_exprs: &[AffineExpr],
     dim: usize,
-    limits: &FmLimits,
+    limit: usize,
 ) -> Result<Vec<AffineExpr>, FmError> {
     let mut lowers: Vec<&AffineExpr> = Vec::new(); // coeff > 0: gives lower bound
     let mut uppers: Vec<&AffineExpr> = Vec::new(); // coeff < 0: gives upper bound
@@ -158,11 +126,11 @@ pub fn try_eliminate_dim(
     let required = rest
         .len()
         .saturating_add(lowers.len().saturating_mul(uppers.len()));
-    if required > limits.max_constraints {
+    if required > limit {
         return Err(FmError::TooManyConstraints {
             dim,
             required,
-            limit: limits.max_constraints,
+            limit,
         });
     }
     for lo in &lowers {
@@ -183,31 +151,17 @@ pub fn try_eliminate_dim(
     Ok(rest)
 }
 
-/// Eliminates every dimension `>= keep` from the system, producing the
-/// (rational) projection onto the first `keep` dimensions.
-///
-/// # Panics
-///
-/// Panics on `i64` overflow, like [`eliminate_dim`]; use
-/// [`try_project_onto_prefix`] to handle that case.
-pub fn project_onto_prefix(ge_exprs: &[AffineExpr], keep: usize, dim: usize) -> Vec<AffineExpr> {
-    let mut sys = ge_exprs.to_vec();
-    for d in (keep..dim).rev() {
-        sys = eliminate_dim(&sys, d);
-    }
-    sys
-}
-
-/// Fallible [`project_onto_prefix`] with checked arithmetic and a growth cap.
-pub fn try_project_onto_prefix(
+/// Eliminates every dimension `>= keep` from the system (innermost first),
+/// producing the rational projection onto the first `keep` dimensions.
+pub(crate) fn project_onto_prefix(
     ge_exprs: &[AffineExpr],
     keep: usize,
     dim: usize,
-    limits: &FmLimits,
+    limit: usize,
 ) -> Result<Vec<AffineExpr>, FmError> {
     let mut sys = ge_exprs.to_vec();
     for d in (keep..dim).rev() {
-        sys = try_eliminate_dim(&sys, d, limits)?;
+        sys = eliminate_dim(&sys, d, limit)?;
     }
     Ok(sys)
 }
@@ -216,18 +170,18 @@ pub fn try_project_onto_prefix(
 /// (used by the point enumerator); `lo > hi` (or `infeasible`) means the
 /// current partial assignment admits no value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VarBounds {
+pub(crate) struct VarBounds {
     /// Tightest integer lower bound.
-    pub lo: i64,
+    pub(crate) lo: i64,
     /// Tightest integer upper bound.
-    pub hi: i64,
+    pub(crate) hi: i64,
     /// True if a variable-free constraint already failed.
-    pub infeasible: bool,
+    infeasible: bool,
 }
 
 impl VarBounds {
     /// True if at least one integer value satisfies the bounds.
-    pub fn is_feasible(&self) -> bool {
+    pub(crate) fn is_feasible(&self) -> bool {
         !self.infeasible && self.lo <= self.hi
     }
 }
@@ -298,7 +252,7 @@ mod tests {
             ge(vec![-1, 1], 0), // y >= x
             ge(vec![0, -1], 7), // y <= 7
         ];
-        let out = eliminate_dim(&sys, 1);
+        let out = eliminate_dim(&sys, 1, MAX_CONSTRAINTS).unwrap();
         assert!(out.iter().all(|e| e.coeff(1) == 0));
         // x <= 7 must be implied by combining y>=x and y<=7.
         assert!(out
@@ -332,7 +286,7 @@ mod tests {
             .ge(ge(vec![1, -1], 0))
             .build();
         let sys = normalize_to_ge(set.constraints());
-        let proj = project_onto_prefix(&sys, 1, 2);
+        let proj = project_onto_prefix(&sys, 1, 2, MAX_CONSTRAINTS).unwrap();
         let b = bounds_for_var(&proj, 0, &[]);
         assert_eq!((b.lo, b.hi), (0, 4));
     }
@@ -350,7 +304,7 @@ mod tests {
         // scales x's coefficient by k twice — far past i64.
         let k = i64::MAX / 2;
         let sys = vec![ge(vec![1, k], 0), ge(vec![1, -k], 0)];
-        let err = try_eliminate_dim(&sys, 1, &FmLimits::unbounded()).unwrap_err();
+        let err = eliminate_dim(&sys, 1, MAX_CONSTRAINTS).unwrap_err();
         assert_eq!(err, FmError::Overflow { dim: 1 });
     }
 
@@ -362,8 +316,7 @@ mod tests {
             sys.push(ge(vec![k + 1, 1], 0)); // y >= -(k+1)x
             sys.push(ge(vec![k + 1, -1], 5)); // y <= (k+1)x + 5
         }
-        let limits = FmLimits { max_constraints: 8 };
-        let err = try_eliminate_dim(&sys, 1, &limits).unwrap_err();
+        let err = eliminate_dim(&sys, 1, 8).unwrap_err();
         assert_eq!(
             err,
             FmError::TooManyConstraints {
@@ -372,26 +325,12 @@ mod tests {
                 limit: 8,
             }
         );
+        assert_eq!(
+            err.to_string(),
+            "eliminating dimension 1 needs 9 constraints (limit 8)"
+        );
         // A roomier cap succeeds and eliminates the dimension.
-        let ok = try_eliminate_dim(&sys, 1, &FmLimits { max_constraints: 9 }).unwrap();
+        let ok = eliminate_dim(&sys, 1, 9).unwrap();
         assert!(ok.iter().all(|e| e.coeff(1) == 0));
-    }
-
-    #[test]
-    fn infallible_wrapper_matches_fallible_path() {
-        let sys = vec![
-            ge(vec![1, 0], 0),
-            ge(vec![-1, 0], 5),
-            ge(vec![-1, 1], 0),
-            ge(vec![0, -1], 7),
-        ];
-        assert_eq!(
-            eliminate_dim(&sys, 1),
-            try_eliminate_dim(&sys, 1, &FmLimits::default()).unwrap()
-        );
-        assert_eq!(
-            project_onto_prefix(&sys, 0, 2),
-            try_project_onto_prefix(&sys, 0, 2, &FmLimits::default()).unwrap()
-        );
     }
 }

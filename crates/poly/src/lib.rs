@@ -10,14 +10,11 @@
 //!   inequalities describing iteration and data spaces,
 //! * [`AffineMap`] — affine mappings from iteration space to data space
 //!   (array subscript functions),
-//! * Fourier–Motzkin elimination ([`eliminate_dim`],
-//!   [`project_onto_prefix`], with fallible [`try_eliminate_dim`] /
-//!   [`try_project_onto_prefix`] variants under [`FmLimits`]) for emptiness
-//!   tests, projections and bound extraction,
-//! * symbolic dependence testing ([`pair_distances`], [`screen_pair`]):
-//!   GCD/Banerjee screening plus conflict-set projection with integer
-//!   rechecks, yielding exact distance sets without enumerating the domain,
-//! * point enumeration (lexicographic scan of all integer points of a set),
+//! * Fourier–Motzkin elimination behind the set operations: bounding boxes
+//!   ([`IntegerSet::bounding_box`]), projection ([`IntegerSet::project`])
+//!   and point enumeration (a lexicographic scan of all integer points of
+//!   a set); elimination checks its arithmetic and caps its constraint
+//!   count, reporting either as an [`FmError`],
 //! * Omega-style code generation ([`generate_loop_nest`],
 //!   [`generate_union`]): re-emitting a loop nest that enumerates the
 //!   points of a set, used when generating per-core code.
@@ -44,22 +41,14 @@
 #![warn(missing_docs)]
 
 mod codegen;
-pub mod dependence;
 mod expr;
 mod fm;
 mod map;
 mod set;
 
-pub use codegen::{generate_loop_nest, generate_union, CodegenOptions};
-pub use dependence::{
-    banded_candidates, pair_distances, screen_pair, DependenceError, DependenceOptions,
-    Independence, PairDependence,
-};
+pub use codegen::{generate_loop_nest, generate_union};
 pub use expr::AffineExpr;
-pub use fm::{
-    eliminate_dim, project_onto_prefix, try_eliminate_dim, try_project_onto_prefix, FmError,
-    FmLimits, VarBounds,
-};
+pub use fm::FmError;
 pub use map::AffineMap;
 pub use set::{Constraint, ConstraintKind, IntegerSet, PointIter, SetBuilder};
 

@@ -3,7 +3,10 @@
 use std::fmt;
 
 use crate::expr::AffineExpr;
-use crate::fm::{bounds_for_var, normalize_to_ge, project_onto_prefix};
+use crate::fm::{
+    bounds_for_var, eliminate_dim, normalize_to_ge, project_onto_prefix, FmError, MAX_CONSTRAINTS,
+    MAX_PROJECTED_CONSTRAINTS,
+};
 use crate::Point;
 
 /// Whether a [`Constraint`] is an inequality (`expr >= 0`) or an equality
@@ -190,10 +193,19 @@ impl IntegerSet {
     ///
     /// The iterator is exact: it yields precisely the integer points of the
     /// set. It does not terminate on unbounded sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a Fourier–Motzkin elimination overflows or exceeds its
+    /// constraint cap, which [`Self::bounding_box`] reports as an error
+    /// first.
     pub fn iter(&self) -> PointIter<'_> {
         let ge = normalize_to_ge(&self.constraints);
         let projections = (0..self.dim)
-            .map(|d| project_onto_prefix(&ge, d + 1, self.dim))
+            .map(|d| {
+                project_onto_prefix(&ge, d + 1, self.dim, MAX_CONSTRAINTS)
+                    .unwrap_or_else(|e| panic!("Fourier–Motzkin elimination failed: {e}"))
+            })
             .collect();
         PointIter {
             set: self,
@@ -211,7 +223,17 @@ impl IntegerSet {
 
     /// Per-dimension integer bounding box `[(lo, hi); dim]`, or `None` if the
     /// set is (rationally) empty or unbounded in some direction.
-    pub fn bounding_box(&self) -> Option<Vec<(i64, i64)>> {
+    ///
+    /// Dimension 0's bounds come from eliminating every other dimension,
+    /// innermost first, which passes through each prefix projection that
+    /// [`Self::iter`] and code generation run: when this returns `Ok`,
+    /// enumerating the set cannot fail.
+    ///
+    /// # Errors
+    ///
+    /// [`FmError`] if an elimination overflows `i64` or a step would produce
+    /// more than 2^20 constraints.
+    pub fn bounding_box(&self) -> Result<Option<Vec<(i64, i64)>>, FmError> {
         let ge = normalize_to_ge(&self.constraints);
         let mut out = Vec::with_capacity(self.dim);
         for d in 0..self.dim {
@@ -219,7 +241,7 @@ impl IntegerSet {
             let mut sys = ge.clone();
             for other in (0..self.dim).rev() {
                 if other != d {
-                    sys = crate::fm::eliminate_dim(&sys, other);
+                    sys = eliminate_dim(&sys, other, MAX_CONSTRAINTS)?;
                 }
             }
             let (mut lo, mut hi) = (i64::MIN / 2, i64::MAX / 2);
@@ -229,7 +251,7 @@ impl IntegerSet {
                 match c.signum() {
                     0 => {
                         if k < 0 {
-                            return None;
+                            return Ok(None);
                         }
                     }
                     1 => {
@@ -240,11 +262,44 @@ impl IntegerSet {
                 }
             }
             if lo <= i64::MIN / 2 || hi >= i64::MAX / 2 || lo > hi {
-                return None;
+                return Ok(None);
             }
             out.push((lo, hi));
         }
-        Some(out)
+        Ok(Some(out))
+    }
+
+    /// The (rational) projection onto the first `keep` dimensions: every
+    /// point of the set projects into it, and it may also hold integer
+    /// points no point of the set projects onto.
+    ///
+    /// # Errors
+    ///
+    /// [`FmError`] if an elimination overflows `i64` or a step would produce
+    /// more than 4,096 constraints, a tighter cap than the other operations'
+    /// (the sets projected in practice, such as a dependence test's
+    /// conflict system, stay far below it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep > dim()`.
+    pub fn project(&self, keep: usize) -> Result<IntegerSet, FmError> {
+        assert!(keep <= self.dim, "cannot project onto more dimensions");
+        let ge = normalize_to_ge(&self.constraints);
+        let constraints = project_onto_prefix(&ge, keep, self.dim, MAX_PROJECTED_CONSTRAINTS)?
+            .into_iter()
+            .map(|e| {
+                Constraint::ge(AffineExpr::new(
+                    e.coeffs()[..keep].to_vec(),
+                    e.constant_term(),
+                ))
+            })
+            .collect();
+        Ok(IntegerSet {
+            dim: keep,
+            names: self.names[..keep].to_vec(),
+            constraints,
+        })
     }
 }
 
@@ -500,13 +555,65 @@ mod tests {
             .lower(1, 0)
             .le_var(1, 0)
             .build();
-        assert_eq!(tri.bounding_box(), Some(vec![(0, 9), (0, 9)]));
+        assert_eq!(tri.bounding_box(), Ok(Some(vec![(0, 9), (0, 9)])));
     }
 
     #[test]
     fn bounding_box_of_unbounded_set_is_none() {
         let s = IntegerSet::builder(1).lower(0, 0).build();
-        assert_eq!(s.bounding_box(), None);
+        assert_eq!(s.bounding_box(), Ok(None));
+    }
+
+    #[test]
+    fn bounding_box_reports_overflow() {
+        // 0 <= i <= 2^30, 0 <= j <= 2^40 * i: bounding j eliminates i, which
+        // scales the upper bound on i by 2^40.
+        let s = IntegerSet::builder(2)
+            .bounds(0, 0, 1 << 30)
+            .lower(1, 0)
+            .ge(AffineExpr::new(vec![1 << 40, -1], 0))
+            .build();
+        assert_eq!(s.bounding_box(), Err(FmError::Overflow { dim: 0 }));
+    }
+
+    #[test]
+    fn projection_keeps_the_prefix_shadow() {
+        // 0 <= i <= 6, 2j = i, 0 <= j: the shadow on i is 0 <= i <= 6,
+        // odd values included.
+        let s = IntegerSet::builder(2)
+            .names(["i", "j"])
+            .bounds(0, 0, 6)
+            .lower(1, 0)
+            .eq(AffineExpr::new(vec![1, -2], 0))
+            .build();
+        let shadow = s.project(1).unwrap();
+        assert_eq!(shadow.names(), ["i"]);
+        assert_eq!(shadow.point_count(), 7);
+        assert_eq!(s.project(2).unwrap().point_count(), 4);
+    }
+
+    #[test]
+    fn projection_has_the_tighter_cap() {
+        // 65 lower and 64 upper bounds on y: eliminating it keeps the 2
+        // bounds on x and adds 4,160 combinations, past the projection's
+        // cap but not the bounding box's.
+        let mut b = IntegerSet::builder(2).bounds(0, 0, 9);
+        for k in 0..65 {
+            b = b.ge(AffineExpr::new(vec![k + 1, 1], 0));
+        }
+        for k in 0..64 {
+            b = b.ge(AffineExpr::new(vec![k + 1, -1], 5));
+        }
+        let s = b.build();
+        assert_eq!(
+            s.project(1),
+            Err(FmError::TooManyConstraints {
+                dim: 1,
+                required: 4162,
+                limit: 4096,
+            })
+        );
+        assert!(s.bounding_box().unwrap().is_some());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The central invariant: point enumeration agrees exactly with brute-force
 //! membership scans, for arbitrary small constraint systems.
 
-use ctam_poly::{generate_loop_nest, AffineExpr, CodegenOptions, Constraint, IntegerSet};
+use ctam_poly::{generate_loop_nest, AffineExpr, Constraint, IntegerSet};
 use proptest::prelude::*;
 
 const BOX_LO: i64 = -4;
@@ -105,7 +105,7 @@ proptest! {
 
     #[test]
     fn bounding_box_contains_all_points(set in arb_set(2)) {
-        if let Some(bb) = set.bounding_box() {
+        if let Some(bb) = set.bounding_box().unwrap() {
             for p in set.iter() {
                 for (d, &(lo, hi)) in bb.iter().enumerate() {
                     prop_assert!(lo <= p[d] && p[d] <= hi);
@@ -118,7 +118,7 @@ proptest! {
     fn codegen_succeeds_on_nonempty_boxed_sets(set in arb_set(2)) {
         // Any non-empty subset of a finite box must yield a loop nest.
         if !set.is_empty() {
-            let code = generate_loop_nest(&set, &CodegenOptions::default());
+            let code = generate_loop_nest(&set);
             prop_assert!(code.is_some());
         }
     }

@@ -82,7 +82,7 @@ mod tests {
         // parallelism-extraction step may distribute the atom loop.
         let w = build(SizeClass::Test);
         let (id, _) = w.program.nests().next().unwrap();
-        let info = ctam_loopir::dependence::analyze(&w.program, id);
+        let info = ctam_loopir::dependence::analyze_nest(&w.program, id).info;
         assert!(info.is_fully_parallel());
     }
 }

@@ -63,7 +63,7 @@ mod tests {
         // the outer loop is the parallel one, as in the real SP.
         let w = build(SizeClass::Test);
         let (id, _) = w.program.nests().next().unwrap();
-        let info = ctam_loopir::dependence::analyze(&w.program, id);
+        let info = ctam_loopir::dependence::analyze_nest(&w.program, id).info;
         assert_eq!(info.outermost_parallel(), Some(0));
         assert!(!info.is_fully_parallel());
     }

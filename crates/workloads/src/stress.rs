@@ -167,7 +167,7 @@ mod tests {
     fn interleaved_is_independent() {
         let w = interleaved_independent(SizeClass::Test);
         let (id, _) = w.program.nests().next().unwrap();
-        let dep = dependence::analyze(&w.program, id);
+        let dep = dependence::analyze_nest(&w.program, id).info;
         assert!(dep.is_fully_parallel());
     }
 

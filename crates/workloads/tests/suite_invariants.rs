@@ -32,7 +32,7 @@ fn every_nest_has_a_parallel_loop_or_point_granularity() {
     // kernel must either offer one or be analyzable at point granularity.
     for w in all(SizeClass::Test) {
         for (id, nest) in w.program.nests() {
-            let info = dependence::analyze(&w.program, id);
+            let info = dependence::analyze_nest(&w.program, id).info;
             assert!(
                 info.outermost_parallel().is_some() || info.depth() == nest.depth(),
                 "{}/{}: no parallelizable level",

@@ -42,7 +42,7 @@ fn main() {
     );
 
     // 1. Dependence analysis.
-    let dep = dependence::analyze(&program, nest);
+    let dep = dependence::analyze_nest(&program, nest).info;
     println!("distance vectors: {:?}", dep.distances());
     println!("fully parallel: {}", dep.is_fully_parallel());
 
@@ -60,7 +60,8 @@ fn main() {
     }
 
     // 3. Cycle condensation, distribution, dependence-aware local schedule.
-    let (groups, _) = condense(groups, &space, &dep);
+    let graph = GroupDepGraph::build(&groups, &space, &dep);
+    let groups = condense(groups, &graph);
     let machine = catalog::harpertown();
     let assignment = distribute(groups, &machine, 0.10);
     let flat = flatten_assignment(&assignment);

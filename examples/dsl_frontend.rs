@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for (id, nest) in program.nests() {
-        let info = dependence::analyze(&program, id);
+        let info = dependence::analyze_nest(&program, id).info;
         println!(
             "nest '{}': {} iterations, fully parallel: {}, parallel level: {:?}",
             nest.name(),

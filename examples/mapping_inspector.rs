@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{} on {}\n", w.name, machine.name());
 
     let (nest, _) = w.program.nests().next().expect("workloads have nests");
-    let dep = dependence::analyze(&w.program, nest);
+    let dep = dependence::analyze_nest(&w.program, nest).info;
     let depth = w.program.nest(nest).depth();
     let prefix = dep
         .outermost_parallel()

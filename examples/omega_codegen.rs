@@ -9,7 +9,7 @@
 use ctam::emit_core_code;
 use ctam::pipeline::{map_nest, CtamParams, Strategy};
 use ctam_loopir::{ArrayRef, LoopNest, Program};
-use ctam_poly::{generate_loop_nest, AffineExpr, AffineMap, CodegenOptions, IntegerSet};
+use ctam_poly::{generate_loop_nest, AffineExpr, AffineMap, IntegerSet};
 use ctam_topology::{CacheParams, Machine, NodeId, KB, MB};
 
 fn main() {
@@ -31,10 +31,7 @@ fn main() {
 
     // The original nest, re-emitted by codegen.
     println!("// original nest:");
-    println!(
-        "{}\n",
-        generate_loop_nest(&domain, &CodegenOptions::default()).expect("bounded set")
-    );
+    println!("{}\n", generate_loop_nest(&domain).expect("bounded set"));
 
     // Map it onto a 4-core machine and emit per-core code: the rows of each
     // core's groups become row-interval loop nests.
@@ -52,7 +49,7 @@ fn main() {
     };
     let mapping = map_nest(&program, nest, &machine, Strategy::TopologyAware, &params)
         .expect("the nest maps");
-    for code in emit_core_code(&mapping, &program, nest) {
+    for code in emit_core_code(&mapping, &program) {
         println!("{code}\n");
     }
 }

@@ -100,11 +100,12 @@ proptest! {
     fn schedule_respects_dependencies(p in arb_program()) {
         let machine = catalog::harpertown();
         let (nest, _) = p.nests().next().unwrap();
-        let dep = dependence::analyze(&p, nest);
+        let dep = dependence::analyze_nest(&p, nest).info;
         let space = IterationSpace::build(&p, nest);
         let blocks = BlockMap::new(&p, 256);
         let groups = group_iterations(&space, &blocks);
-        let (groups, _) = condense(groups, &space, &dep);
+        let graph = GroupDepGraph::build(&groups, &space, &dep);
+        let groups = condense(groups, &graph);
         let a = distribute(groups, &machine, 0.10);
         let flat = flatten_assignment(&a);
         let graph = GroupDepGraph::build(&flat, &space, &dep);

@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 
 use ctam::cluster::{distribute, distribute_with, split_for_balance, LeafSplit};
-use ctam::optimal::{optimal_assignment, OptimalOptions};
+use ctam::optimal::optimal_assignment;
 use ctam::pipeline::{append_trace_for, evaluate, map_nest, CtamParams, Strategy};
 use ctam::schedule::{schedule_dependence_only, Schedule};
 use ctam::strategies::MappingContext;
@@ -343,15 +343,7 @@ fn measure_candidates_pins_optimal_winners() {
             let groups = cx.condensed_groups();
             let a_heur = distribute(groups.clone(), &machine, params.balance_threshold);
             let groups = split_for_balance(groups, machine.n_cores(), params.balance_threshold);
-            let a_model = optimal_assignment(
-                groups,
-                &machine,
-                OptimalOptions {
-                    balance_threshold: params.balance_threshold,
-                    ..OptimalOptions::default()
-                },
-            )
-            .unwrap();
+            let a_model = optimal_assignment(groups, &machine, params.balance_threshold).unwrap();
             let candidates: Vec<Schedule> = [a_model, a_heur]
                 .into_iter()
                 .map(|a| {
