@@ -14,52 +14,45 @@
 //! (`CTAM_JOBS` workers); the bespoke `flat` variant fans over
 //! [`ctam_bench::parallel_map`], which preserves application order.
 
-use ctam::blocks::BlockMap;
 use ctam::cluster::{partition_groups, Assignment};
 use ctam::depgraph::GroupDepGraph;
-use ctam::group::group_iterations;
-use ctam::pipeline::{append_schedule_trace, map_nest, CtamParams, NestMapping, Strategy};
-use ctam::schedule::schedule_dependence_only;
-use ctam::space::IterationSpace;
+use ctam::pipeline::{append_schedule_trace, map_nest, CtamParams, Strategy};
+use ctam::schedule::{flatten_assignment, schedule_dependence_only};
+use ctam::strategies::MappingContext;
 use ctam_bench::{parallel_map, Cell};
 use ctam_cachesim::trace::MulticoreTrace;
 use ctam_cachesim::Simulator;
-use ctam_loopir::dependence;
-use ctam_topology::catalog;
+use ctam_topology::{catalog, Machine};
 use ctam_workloads::{all, SizeClass};
 
-/// Cycles under a topology-*blind* one-shot partition into per-core sets.
-fn flat_cycles(w: &ctam_workloads::Workload, sim: &Simulator, n_cores: usize) -> u64 {
+/// Cycles under a topology-*blind* one-shot partition into per-core sets,
+/// at the paper's 2KB blocks.
+fn flat_cycles(w: &ctam_workloads::Workload, machine: &Machine, sim: &Simulator) -> u64 {
+    let params = CtamParams {
+        block_bytes: Some(2048),
+        ..CtamParams::default()
+    };
+    let n_cores = machine.n_cores();
     let mut trace = MulticoreTrace::new(n_cores);
     let mut first = true;
     for (nest, _) in w.program.nests() {
-        let analysis = dependence::analyze_nest(&w.program, nest);
-        let parallelism = analysis.classify();
-        let dep = analysis.info;
-        let depth = w.program.nest(nest).depth();
-        let prefix = dep
-            .outermost_parallel()
-            .map_or(depth, |l| (l + 1).min(depth));
-        let space = IterationSpace::build_units(&w.program, nest, prefix);
-        let blocks = BlockMap::new(&w.program, 2048);
-        let groups = group_iterations(&space, &blocks);
-        let parts = partition_groups(groups, &vec![1usize; n_cores], 0.10, blocks.n_blocks());
+        let cx = MappingContext::build(&w.program, nest, machine, &params);
+        let parts = partition_groups(
+            cx.grouped_units(),
+            &vec![1usize; n_cores],
+            params.balance_threshold,
+            cx.blocks.n_blocks(),
+        );
         let assignment = Assignment::from_per_core(parts);
-        let flat = ctam::schedule::flatten_assignment(&assignment);
-        let graph = GroupDepGraph::build(&flat, &space, &dep);
+        let flat = flatten_assignment(&assignment);
+        let graph = GroupDepGraph::build(&flat, &cx.space, &cx.dep);
         if !graph.is_acyclic() {
             return u64::MAX; // skip pathological cases
         }
         let Ok(schedule) = schedule_dependence_only(assignment, &graph) else {
             return u64::MAX;
         };
-        let mapping = NestMapping {
-            schedule,
-            space,
-            block_bytes: 2048,
-            n_groups: 0,
-            parallelism,
-        };
+        let mapping = cx.finish(schedule, flat.len());
         if !first {
             trace.push_barrier_all();
         }
@@ -109,9 +102,7 @@ fn main() {
         ));
     }
     engine.prefetch(&cells);
-    let flats = parallel_map(engine.jobs(), &apps, |w| {
-        flat_cycles(w, &sim, machine.n_cores())
-    });
+    let flats = parallel_map(engine.jobs(), &apps, |w| flat_cycles(w, &machine, &sim));
 
     let mut fig = ctam_bench::FigureData::new(
         "Ablation (Dunnington)",

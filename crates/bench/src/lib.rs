@@ -21,4 +21,4 @@ pub mod runner;
 
 pub use figure::{first_line_diff, FigureData, Row};
 pub use jobs::{parallel_map, Cell, Engine};
-pub use runner::{geomean, normalize_to_first};
+pub use runner::geomean;

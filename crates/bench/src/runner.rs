@@ -39,18 +39,6 @@ pub fn geomean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Normalizes a series so the first entry becomes 1.0.
-///
-/// # Panics
-///
-/// Panics if the slice is empty or the first entry is zero.
-pub fn normalize_to_first(values: &[f64]) -> Vec<f64> {
-    assert!(!values.is_empty(), "cannot normalize an empty series");
-    let base = values[0];
-    assert!(base != 0.0, "cannot normalize to zero");
-    values.iter().map(|&v| v / base).collect()
-}
-
 /// Simulated execution cycles of `workload` on `machine` under `strategy`,
 /// served from `engine`'s cell cache (evaluated now if absent).
 ///
@@ -110,16 +98,5 @@ mod tests {
         assert_eq!(geomean(&[]), 0.0);
         assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-9);
         assert!((geomean(&[5.0]) - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn normalization() {
-        assert_eq!(normalize_to_first(&[4.0, 2.0, 8.0]), vec![1.0, 0.5, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty series")]
-    fn normalizing_nothing_panics_with_a_message() {
-        let _ = normalize_to_first(&[]);
     }
 }

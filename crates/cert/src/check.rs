@@ -1325,7 +1325,6 @@ fn check_symbolic_races(
     cert: &Certificate,
     dom: &Domain,
     units: &[(usize, usize)],
-    unit_of: &[usize],
     placement: &Placement,
 ) -> Result<(), Rejection> {
     let prefix = cert.unit_prefix;
@@ -1372,7 +1371,6 @@ fn check_symbolic_races(
             }
         }
     }
-    let _ = unit_of;
     Ok(())
 }
 
@@ -1537,7 +1535,7 @@ pub fn check_certificate(cert: &Certificate) -> Result<CheckStats, Rejection> {
 
     match cert.verdict {
         Verdict::SymbolicProof | Verdict::IndexFactProof => {
-            check_symbolic_races(cert, &dom, &units, &unit_of, &placement)?;
+            check_symbolic_races(cert, &dom, &units, &placement)?;
         }
         Verdict::Enumerated => {
             check_element_races(cert, &dom, &units)?;

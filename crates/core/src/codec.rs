@@ -1,16 +1,19 @@
 //! JSON (de)serialization for [`NestMapping`], on the workspace's shared
 //! self-describing codec ([`ctam_cert::json`]).
 //!
-//! A mapping document records what the pipeline *decided* — the unit
-//! granularity, the barrier-structured schedule with each group's tag and
-//! unit list, the block size, and the parallelism classification. It does
-//! not embed the iteration space (that is derivable), so deserialization
-//! takes the [`Program`] the mapping was computed for and rebuilds the
-//! space with [`IterationSpace::build_units`]. For any mapping the pipeline
-//! produces, `mapping_from_json(program, &mapping_to_json(m)) == m`.
+//! A mapping document records what the pipeline *decided*, each decision
+//! once: the unit granularity (`unit_prefix`), the block size
+//! (`block_bytes`), and the barrier-structured schedule (`rounds`, each a
+//! list of per-core group lists, each group its tag's set bits and its unit
+//! list). Everything else is derived on decoding, from the document or from
+//! the [`Program`] the mapping was computed for: the iteration space is
+//! rebuilt with [`IterationSpace::build_units`], every tag is as wide as the
+//! program's block count at the document's block size, the core count is
+//! the length of the first round, and the group count is a count of the
+//! groups. For any mapping the pipeline produces,
+//! `mapping_from_json(program, &mapping_to_json(m)) == m`.
 
-use ctam_cert::json::{self, field, int_array, read_i64s, read_usizes, JsonValue};
-use ctam_loopir::dependence::{LevelCarriers, ParallelismReport};
+use ctam_cert::json::{self, field, int_array, read_usizes, JsonValue};
 use ctam_loopir::Program;
 
 use crate::blocks::BlockMap;
@@ -23,14 +26,10 @@ use crate::tag::Tag;
 /// Format tag every mapping document carries.
 pub const FORMAT: &str = "ctam-mapping";
 /// Current mapping document version.
-pub const VERSION: i64 = 2;
+pub const VERSION: i64 = 3;
 
 fn group_value(g: &IterationGroup) -> JsonValue {
     JsonValue::Object(vec![
-        (
-            "tag_bits".to_owned(),
-            JsonValue::Int(g.tag().n_bits() as i64),
-        ),
         (
             "tag".to_owned(),
             int_array(g.tag().iter_bits().map(|b| b as i64)),
@@ -42,20 +41,12 @@ fn group_value(g: &IterationGroup) -> JsonValue {
     ])
 }
 
-/// Parses one group whose tag must range over the program's `n_blocks`
-/// blocks; the width is checked before the tag is built.
+/// Parses one group whose tag ranges over the program's `n_blocks` blocks;
+/// every bit is checked before the tag is built.
 fn group_from_value(v: &JsonValue, n_blocks: usize) -> Result<IterationGroup, String> {
-    let n_bits = field(v, "tag_bits")?
-        .as_usize()
-        .ok_or("tag_bits must be a non-negative integer")?;
-    if n_bits != n_blocks {
-        return Err(format!(
-            "tag_bits {n_bits} differs from the program's {n_blocks} blocks"
-        ));
-    }
     let bits = read_usizes(field(v, "tag")?, "group tag")?;
-    if let Some(&b) = bits.iter().find(|&&b| b >= n_bits) {
-        return Err(format!("tag bit {b} out of range for {n_bits} bits"));
+    if let Some(&b) = bits.iter().find(|&&b| b >= n_blocks) {
+        return Err(format!("tag bit {b} out of range for {n_blocks} blocks"));
     }
     let units = read_usizes(field(v, "units")?, "group units")?
         .into_iter()
@@ -64,90 +55,7 @@ fn group_from_value(v: &JsonValue, n_blocks: usize) -> Result<IterationGroup, St
     if units.is_empty() {
         return Err("group units must be non-empty".to_owned());
     }
-    Ok(IterationGroup::new(Tag::from_bits(n_bits, bits), units))
-}
-
-fn parallelism_value(p: &ParallelismReport) -> JsonValue {
-    JsonValue::Object(vec![
-        ("depth".to_owned(), JsonValue::Int(p.depth as i64)),
-        (
-            "doall".to_owned(),
-            int_array(p.doall.iter().map(|&l| l as i64)),
-        ),
-        (
-            "carried".to_owned(),
-            JsonValue::Array(
-                p.carried
-                    .iter()
-                    .map(|c| {
-                        JsonValue::Object(vec![
-                            ("level".to_owned(), JsonValue::Int(c.level as i64)),
-                            (
-                                "pairs".to_owned(),
-                                JsonValue::Array(
-                                    c.pairs
-                                        .iter()
-                                        .map(|&(a, b)| int_array([a as i64, b as i64]))
-                                        .collect(),
-                                ),
-                            ),
-                            ("example".to_owned(), int_array(c.example.iter().copied())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "outermost_parallel".to_owned(),
-            match p.outermost_parallel {
-                Some(l) => JsonValue::Int(l as i64),
-                None => JsonValue::Null,
-            },
-        ),
-    ])
-}
-
-fn parallelism_from_value(v: &JsonValue) -> Result<ParallelismReport, String> {
-    let carried = field(v, "carried")?
-        .as_array()
-        .ok_or("carried must be an array")?
-        .iter()
-        .map(|c| {
-            let pairs = field(c, "pairs")?
-                .as_array()
-                .ok_or("carrier pairs must be an array")?
-                .iter()
-                .map(|p| {
-                    let xs = read_usizes(p, "carrier pair")?;
-                    if xs.len() != 2 {
-                        return Err("carrier pair must be [a, b]".to_owned());
-                    }
-                    Ok((xs[0], xs[1]))
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(LevelCarriers {
-                level: field(c, "level")?
-                    .as_usize()
-                    .ok_or("carrier level must be a non-negative integer")?,
-                pairs,
-                example: read_i64s(field(c, "example")?, "carrier example")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(ParallelismReport {
-        depth: field(v, "depth")?
-            .as_usize()
-            .ok_or("depth must be a non-negative integer")?,
-        doall: read_usizes(field(v, "doall")?, "doall levels")?,
-        carried,
-        outermost_parallel: match field(v, "outermost_parallel")? {
-            JsonValue::Null => None,
-            l => Some(
-                l.as_usize()
-                    .ok_or("outermost_parallel must be null or a non-negative integer")?,
-            ),
-        },
-    })
+    Ok(IterationGroup::new(Tag::from_bits(n_blocks, bits), units))
 }
 
 /// The mapping as a [`JsonValue`] tree.
@@ -166,11 +74,6 @@ pub fn mapping_to_value(m: &NestMapping) -> JsonValue {
         (
             "block_bytes".to_owned(),
             JsonValue::Int(m.block_bytes as i64),
-        ),
-        ("n_groups".to_owned(), JsonValue::Int(m.n_groups as i64)),
-        (
-            "n_cores".to_owned(),
-            JsonValue::Int(m.schedule.n_cores() as i64),
         ),
         (
             "rounds".to_owned(),
@@ -191,7 +94,6 @@ pub fn mapping_to_value(m: &NestMapping) -> JsonValue {
                     .collect(),
             ),
         ),
-        ("parallelism".to_owned(), parallelism_value(&m.parallelism)),
     ])
 }
 
@@ -208,10 +110,10 @@ pub fn mapping_to_json(m: &NestMapping) -> String {
 /// A description of the first structural error: wrong format tag or
 /// version, a nest index `program` does not have, a unit prefix deeper than
 /// the nest, a block size of 0, a schedule with no rounds, ragged rounds, a
-/// tag width other than the program's block count, or a unit id outside
-/// the rebuilt space. Each is found before the document's sizes drive an
-/// allocation: with at least one round, the document's own length bounds
-/// the core count.
+/// tag bit at or past the program's block count, or a unit id outside the
+/// rebuilt space. Each is found before the document's sizes drive an
+/// allocation: the document's own length bounds the core count, and the
+/// program bounds every tag's width.
 pub fn mapping_from_value(program: &Program, v: &JsonValue) -> Result<NestMapping, String> {
     let format = field(v, "format")?.as_str().unwrap_or_default();
     if format != FORMAT {
@@ -244,16 +146,9 @@ pub fn mapping_from_value(program: &Program, v: &JsonValue) -> Result<NestMappin
         return Err("block_bytes must be positive".to_owned());
     }
     let n_blocks = BlockMap::new(program, block_bytes).n_blocks();
-    let n_cores = field(v, "n_cores")?
-        .as_usize()
-        .ok_or("n_cores must be a non-negative integer")?;
     let rounds = field(v, "rounds")?
         .as_array()
-        .ok_or("rounds must be an array")?;
-    if rounds.is_empty() {
-        return Err("schedule must have at least one round".to_owned());
-    }
-    let rounds = rounds
+        .ok_or("rounds must be an array")?
         .iter()
         .map(|round| {
             round
@@ -271,6 +166,10 @@ pub fn mapping_from_value(program: &Program, v: &JsonValue) -> Result<NestMappin
                 .collect::<Result<Vec<_>, String>>()
         })
         .collect::<Result<Vec<_>, String>>()?;
+    let n_cores = rounds
+        .first()
+        .ok_or("schedule must have at least one round")?
+        .len();
     let schedule = Schedule::from_rounds(rounds, n_cores).map_err(|e| e.to_string())?;
     let space = IterationSpace::build_units(program, nest_id, unit_prefix);
     let n_units = space.n_units();
@@ -282,13 +181,10 @@ pub fn mapping_from_value(program: &Program, v: &JsonValue) -> Result<NestMappin
         return Err(format!("unit {u} out of range for {n_units} units"));
     }
     Ok(NestMapping {
+        n_groups: schedule.n_groups(),
         schedule,
         space,
         block_bytes,
-        n_groups: field(v, "n_groups")?
-            .as_usize()
-            .ok_or("n_groups must be a non-negative integer")?,
-        parallelism: parallelism_from_value(field(v, "parallelism")?)?,
     })
 }
 
@@ -304,7 +200,7 @@ pub fn mapping_from_json(program: &Program, input: &str) -> Result<NestMapping, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{map_nest, CtamParams, Strategy};
+    use crate::pipeline::{map_nest, CtamParams, PipelineError, Strategy};
     use ctam_loopir::{ArrayRef, LoopNest};
     use ctam_poly::{AffineExpr, AffineMap, IntegerSet};
     use ctam_topology::catalog;
@@ -331,17 +227,49 @@ mod tests {
         p
     }
 
+    /// The keys of a JSON object, in document order.
+    fn keys(v: &JsonValue) -> Vec<&str> {
+        let JsonValue::Object(fields) = v else {
+            panic!("expected an object, got {v:?}")
+        };
+        fields.iter().map(|(k, _)| k.as_str()).collect()
+    }
+
     #[test]
     fn pipeline_mappings_roundtrip() {
         let p = wave(16);
         let m = catalog::harpertown();
         let nest = p.nests().next().unwrap().0;
-        for s in [Strategy::Base, Strategy::TopologyAware, Strategy::Combined] {
-            let mapping = map_nest(&p, nest, &m, s, &CtamParams::default()).unwrap();
+        for s in Strategy::ALL {
+            let mapping = match map_nest(&p, nest, &m, s, &CtamParams::default()) {
+                Ok(mapping) => mapping,
+                Err(PipelineError::Optimal(_)) => continue,
+                Err(e) => panic!("{s}: {e}"),
+            };
             let json = mapping_to_json(&mapping);
             let back = mapping_from_json(&p, &json).unwrap_or_else(|e| panic!("{s}: {e}"));
             assert_eq!(back, mapping, "{s}");
             assert_eq!(mapping_to_json(&back), json, "{s}");
+            // Each decision once: nothing the decoder derives is on the wire.
+            let doc = mapping_to_value(&mapping);
+            assert_eq!(
+                keys(&doc),
+                [
+                    "format",
+                    "version",
+                    "nest",
+                    "unit_prefix",
+                    "block_bytes",
+                    "rounds"
+                ],
+                "{s}"
+            );
+            let rounds = doc.get("rounds").and_then(JsonValue::as_array).unwrap();
+            for groups in rounds.iter().flat_map(|r| r.as_array().unwrap()) {
+                for g in groups.as_array().unwrap() {
+                    assert_eq!(keys(g), ["tag", "units"], "{s}");
+                }
+            }
         }
     }
 
@@ -362,12 +290,24 @@ mod tests {
         let json = mapping_to_json(&mapping);
         let other_nest = json.replace("\"nest\":0", "\"nest\":7");
         assert!(mapping_from_json(&p, &other_nest).is_err());
-        // A version-1 document, which still carried the `exact` flag.
-        let v1 = json
-            .replace("\"version\":2", "\"version\":1")
-            .replace("}}", ",\"exact\":true}}");
+        // Older versions, though a version-2 document (which also repeated
+        // each tag's width) holds every field version 3 reads.
+        let n_blocks = BlockMap::new(&p, mapping.block_bytes).n_blocks();
+        let v2 = json
+            .replace("\"version\":3", "\"version\":2")
+            .replace("{\"tag\":", &format!("{{\"tag_bits\":{n_blocks},\"tag\":"));
+        let err = mapping_from_json(&p, &v2).unwrap_err();
+        assert_eq!(err, "unsupported mapping document version 2");
+        let v1 = json.replace("\"version\":3", "\"version\":1");
         let err = mapping_from_json(&p, &v1).unwrap_err();
         assert_eq!(err, "unsupported mapping document version 1");
+        // A tag bit one past the last block.
+        let wide = json.replacen("\"tag\":[", &format!("\"tag\":[{n_blocks},"), 1);
+        let err = mapping_from_json(&p, &wide).unwrap_err();
+        assert_eq!(
+            err,
+            format!("tag bit {n_blocks} out of range for {n_blocks} blocks")
+        );
         // A unit id past the rebuilt space, and an empty unit list.
         let n_units = mapping.space.n_units();
         let far = json.replacen("\"units\":[", "\"units\":[999999,", 1);
@@ -376,11 +316,17 @@ mod tests {
         let empty = json.replacen("\"units\":[", "\"units\":[],\"was\":[", 1);
         let err = mapping_from_json(&p, &empty).unwrap_err();
         assert_eq!(err, "group units must be non-empty");
+        // Rounds that differ in core count.
+        let cores = |n: usize| JsonValue::Array(vec![JsonValue::Array(Vec::new()); n]);
+        let (p, ragged) =
+            edited_document(&[("rounds", JsonValue::Array(vec![cores(2), cores(1)]))]);
+        let err = mapping_from_value(&p, &ragged).unwrap_err();
+        assert_eq!(err, "round 1 covers 1 cores but every round must cover 2");
     }
 
     /// `wave(8)`'s Base mapping on Harpertown as a document, with `edits`
     /// replacing top-level fields.
-    fn edited_document(edits: &[(&str, JsonValue)]) -> (Program, NestMapping, JsonValue) {
+    fn edited_document(edits: &[(&str, JsonValue)]) -> (Program, JsonValue) {
         let p = wave(8);
         let nest = p.nests().next().unwrap().0;
         let m = catalog::harpertown();
@@ -391,47 +337,23 @@ mod tests {
         for (key, value) in edits {
             fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = value.clone();
         }
-        (p, mapping, JsonValue::Object(fields))
+        (p, JsonValue::Object(fields))
     }
 
     #[test]
     fn rejects_a_zero_block_size() {
         // Verifying or advising on the mapping would divide by it.
-        let (p, _, doc) = edited_document(&[("block_bytes", JsonValue::Int(0))]);
+        let (p, doc) = edited_document(&[("block_bytes", JsonValue::Int(0))]);
         let err = mapping_from_value(&p, &doc).unwrap_err();
         assert_eq!(err, "block_bytes must be positive");
     }
 
     #[test]
     fn rejects_a_schedule_without_rounds() {
-        // No round can be ragged, so nothing bounds the core count that
-        // verification allocates per core.
-        let (p, _, doc) = edited_document(&[
-            ("rounds", JsonValue::Array(Vec::new())),
-            ("n_cores", JsonValue::Int(1 << 40)),
-        ]);
+        // The first round gives the core count that verification allocates
+        // per core; without one nothing would bound it.
+        let (p, doc) = edited_document(&[("rounds", JsonValue::Array(Vec::new()))]);
         let err = mapping_from_value(&p, &doc).unwrap_err();
         assert_eq!(err, "schedule must have at least one round");
-    }
-
-    #[test]
-    fn rejects_a_tag_width_other_than_the_block_count() {
-        // A width just above the block count; a huge one with enough set
-        // bits would make the tag allocate its dense form.
-        let (p, mapping, doc) = edited_document(&[]);
-        let n_blocks = BlockMap::new(&p, mapping.block_bytes).n_blocks();
-        let json = doc.render().replacen(
-            &format!("\"tag_bits\":{n_blocks},"),
-            &format!("\"tag_bits\":{},", n_blocks + 1),
-            1,
-        );
-        let err = mapping_from_json(&p, &json).unwrap_err();
-        assert_eq!(
-            err,
-            format!(
-                "tag_bits {} differs from the program's {n_blocks} blocks",
-                n_blocks + 1
-            )
-        );
     }
 }

@@ -13,7 +13,7 @@ use std::fmt;
 
 use ctam_cachesim::trace::{MulticoreTrace, Op};
 use ctam_cachesim::{SimError, SimReport, Simulator};
-use ctam_loopir::{dependence, AccessKind, NestId, Program};
+use ctam_loopir::{AccessKind, NestId, Program};
 use ctam_topology::Machine;
 
 use crate::group::IterationGroup;
@@ -102,22 +102,19 @@ impl From<ScheduleError> for PipelineError {
     }
 }
 
-/// The mapping of one nest: its schedule plus the artifacts the harness
-/// reports on.
+/// The mapping of one nest: the decisions of the pass (mapping-unit
+/// granularity, block size, schedule) plus the iteration space they index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NestMapping {
     /// The barrier-structured schedule.
     pub schedule: Schedule,
-    /// The enumerated iteration space (owned so traces can be rebuilt).
+    /// The enumerated iteration space at the chosen unit granularity (owned
+    /// so traces can be rebuilt).
     pub space: IterationSpace,
     /// The block size used for tagging.
     pub block_bytes: u64,
-    /// Number of iteration groups after grouping/condensation.
+    /// Number of iteration groups in the schedule.
     pub n_groups: usize,
-    /// The nest's parallelism classification (DOALL levels, carried levels
-    /// with their blocking reference pairs) from the dependence engine —
-    /// what decided the mapping-unit granularity below.
-    pub parallelism: dependence::ParallelismReport,
 }
 
 /// Maps one nest for `machine` under `strategy`.

@@ -137,6 +137,11 @@ impl Schedule {
         self.n_cores
     }
 
+    /// Number of groups across all rounds and cores.
+    pub(crate) fn n_groups(&self) -> usize {
+        self.rounds.iter().flatten().map(Vec::len).sum()
+    }
+
     /// Total iterations in the schedule.
     pub fn total_iterations(&self) -> usize {
         self.rounds

@@ -15,10 +15,6 @@ use super::{MappingContext, MappingStrategy};
 pub struct Base;
 
 impl MappingStrategy for Base {
-    fn name(&self) -> &'static str {
-        "Base"
-    }
-
     fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), PipelineError> {
         let a = base_assignment(&cx.space, &cx.blocks, cx.n_cores());
         let n = a.per_core().iter().map(Vec::len).sum();
@@ -31,10 +27,6 @@ impl MappingStrategy for Base {
 pub struct BasePlus;
 
 impl MappingStrategy for BasePlus {
-    fn name(&self) -> &'static str {
-        "Base+"
-    }
-
     fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), PipelineError> {
         let a = base_plus_assignment(&cx.space, &cx.blocks, cx.machine);
         let n = a.per_core().iter().map(Vec::len).sum();
@@ -46,10 +38,6 @@ impl MappingStrategy for BasePlus {
 pub struct Local;
 
 impl MappingStrategy for Local {
-    fn name(&self) -> &'static str {
-        "Local"
-    }
-
     fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), PipelineError> {
         let a = local_assignment(&cx.space, &cx.blocks, cx.n_cores());
         let (a, graph) = cx.acyclic(a);
@@ -76,14 +64,6 @@ pub static COMBINED: Topology = Topology {
 };
 
 impl MappingStrategy for Topology {
-    fn name(&self) -> &'static str {
-        if self.local_schedule {
-            "Combined"
-        } else {
-            "TopologyAware"
-        }
-    }
-
     fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), PipelineError> {
         let groups = cx.condensed_groups();
         // Try both last-level split policies (separate vs constructive
@@ -120,10 +100,6 @@ impl MappingStrategy for Topology {
 pub struct Optimal;
 
 impl MappingStrategy for Optimal {
-    fn name(&self) -> &'static str {
-        "Optimal"
-    }
-
     fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), PipelineError> {
         let groups = cx.condensed_groups();
         // The exact search assigns whole groups; split oversized ones so a

@@ -9,7 +9,7 @@
 //! # Context lifecycle
 //!
 //! [`crate::pipeline::map_nest`] builds one [`MappingContext`] per nest
-//! (dependence analysis, enumerated [`IterationSpace`], [`BlockMap`],
+//! (dependence summary, enumerated [`IterationSpace`], [`BlockMap`],
 //! reusable simulator scratch), hands it to the selected backend's
 //! [`MappingStrategy::map`], and assembles the returned schedule into a
 //! [`NestMapping`] via [`MappingContext::finish`]. Backends never re-run
@@ -18,9 +18,9 @@
 //!
 //! # Adding a backend
 //!
-//! Implement [`MappingStrategy`] (a stable [`MappingStrategy::name`] — it
-//! keys bench-cell fingerprints and figure legends — plus `map`), add a
-//! [`Strategy`] variant wired up in [`Strategy::backend`], and append it to
+//! Implement [`MappingStrategy::map`], add a [`Strategy`] variant wired up
+//! in [`Strategy::backend`] with a stable [`Strategy::name`] (it keys
+//! bench-cell fingerprints and figure legends), and append it to
 //! [`Strategy::ALL`]. Registry-driven tests (the strategy-arena grid) and
 //! figures pick the new backend up from `ALL`; its mappings must verify
 //! clean on every catalog and zoo machine.
@@ -51,29 +51,23 @@ pub use treematch::TreeMatch;
 /// Everything a mapping backend may consume, built once per nest by
 /// [`crate::pipeline::map_nest`].
 ///
-/// The immutable analysis products (`space`, `blocks`, `dep`,
-/// `parallelism`) are public fields; the simulator scratch buffers backing
-/// [`Self::measure_candidates`] stay private so candidate measurement has a
-/// single, recycling implementation.
+/// The immutable analysis products (`dep`, `space` with its nest, `blocks`
+/// with its block size) are public fields; the simulator scratch buffers
+/// backing [`Self::measure_candidates`] stay private so candidate
+/// measurement has a single, recycling implementation.
 pub struct MappingContext<'a> {
     /// The program owning the nest.
     pub program: &'a Program,
-    /// The nest being mapped.
-    pub nest: NestId,
     /// The target machine (cache topology + costs).
     pub machine: &'a Machine,
     /// Pass parameters.
     pub params: &'a CtamParams,
-    /// The nest's parallelism classification (DOALL/carried levels).
-    pub parallelism: dependence::ParallelismReport,
     /// Dependence summary driving grouping, condensation, and scheduling.
     pub dep: dependence::DependenceInfo,
     /// Enumerated iteration space at the mapping-unit granularity.
     pub space: IterationSpace,
     /// Block decomposition of the program's data space.
     pub blocks: BlockMap,
-    /// The block size `blocks` was built with.
-    pub block_bytes: u64,
     scratch: SimScratch,
     trace: MulticoreTrace,
 }
@@ -89,9 +83,7 @@ impl<'a> MappingContext<'a> {
         machine: &'a Machine,
         params: &'a CtamParams,
     ) -> Self {
-        let analysis = dependence::analyze_nest(program, nest);
-        let parallelism = analysis.classify();
-        let dep = analysis.info;
+        let dep = dependence::analyze_nest(program, nest).info;
         let depth = program.nest(nest).depth();
         let unit_prefix = dep
             .outermost_parallel()
@@ -104,14 +96,11 @@ impl<'a> MappingContext<'a> {
         let n_cores = machine.n_cores();
         Self {
             program,
-            nest,
             machine,
             params,
-            parallelism,
             dep,
             space,
             blocks,
-            block_bytes,
             scratch: SimScratch::default(),
             trace: MulticoreTrace::new(n_cores),
         }
@@ -219,14 +208,15 @@ impl<'a> MappingContext<'a> {
     }
 
     /// Consumes the context and assembles the backend's result into the
-    /// [`NestMapping`] the rest of the pipeline reports on.
+    /// [`NestMapping`] the rest of the pipeline reports on. `n_groups` is
+    /// the schedule's group count, as every backend returns it.
     pub fn finish(self, schedule: Schedule, n_groups: usize) -> NestMapping {
+        debug_assert_eq!(n_groups, schedule.n_groups(), "group count of the schedule");
         NestMapping {
             schedule,
             space: self.space,
-            block_bytes: self.block_bytes,
+            block_bytes: self.blocks.block_bytes(),
             n_groups,
-            parallelism: self.parallelism,
         }
     }
 }
@@ -234,10 +224,6 @@ impl<'a> MappingContext<'a> {
 /// A mapping backend: consumes a built [`MappingContext`] and produces a
 /// barrier-structured [`Schedule`] plus its group count.
 pub trait MappingStrategy: Sync {
-    /// Stable display name — keys figure legends and bench-cell
-    /// fingerprints, so changing it invalidates committed outputs.
-    fn name(&self) -> &'static str;
-
     /// Maps the nest described by `cx` onto `cx.machine`.
     ///
     /// # Errors
@@ -306,10 +292,20 @@ impl Strategy {
     }
 
     /// Display name matching the paper's figures (and, for the arena
-    /// backends, their source papers). Delegates to the backend so the
-    /// registry and trait can never disagree.
+    /// backends, their source papers). Stable: it keys figure legends and
+    /// bench-cell fingerprints, so changing it invalidates committed
+    /// outputs.
     pub fn name(&self) -> &'static str {
-        self.backend().name()
+        match self {
+            Strategy::Base => "Base",
+            Strategy::BasePlus => "Base+",
+            Strategy::Local => "Local",
+            Strategy::TopologyAware => "TopologyAware",
+            Strategy::Combined => "Combined",
+            Strategy::Optimal => "Optimal",
+            Strategy::Pcot => "PCOT",
+            Strategy::TreeMatch => "TreeMatch",
+        }
     }
 }
 
@@ -411,12 +407,5 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len());
-    }
-
-    #[test]
-    fn enum_name_agrees_with_backend_name() {
-        for s in Strategy::ALL {
-            assert_eq!(s.name(), s.backend().name());
-        }
     }
 }

@@ -29,10 +29,6 @@ const LEAF_UNITS: usize = 4;
 pub struct Pcot;
 
 impl MappingStrategy for Pcot {
-    fn name(&self) -> &'static str {
-        "PCOT"
-    }
-
     fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), PipelineError> {
         let order = recursive_order(&cx.space);
         let per_core: Vec<Vec<IterationGroup>> = chunk_ranges(order.len(), cx.n_cores())

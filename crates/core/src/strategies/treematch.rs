@@ -34,10 +34,6 @@ const MAX_OBJECTS: usize = 512;
 pub struct TreeMatch;
 
 impl MappingStrategy for TreeMatch {
-    fn name(&self) -> &'static str {
-        "TreeMatch"
-    }
-
     fn map(&self, cx: &mut MappingContext<'_>) -> Result<(Schedule, usize), PipelineError> {
         // TreeMatch assigns whole objects; split oversized groups first so
         // a balanced matching exists (the same preparation the exact

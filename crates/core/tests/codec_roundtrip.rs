@@ -3,8 +3,8 @@
 //! [`Machine`] and [`NestMapping`] documents.
 //!
 //! Machines cover the commercial catalog plus a 200-machine zoo batch;
-//! mappings cover every nest of the Table 2 workload registry under the
-//! production strategies.
+//! mappings cover every nest of the Table 2 workload registry under every
+//! registered strategy.
 
 use ctam::codec::{mapping_from_json, mapping_to_json};
 use ctam::pipeline::{map_nest, CtamParams, PipelineError, Strategy};
@@ -49,7 +49,7 @@ fn registry_mappings_roundtrip() {
     let machine = catalog::harpertown();
     let params = CtamParams::default();
     for w in all(SizeClass::Test) {
-        for strategy in [Strategy::Base, Strategy::TopologyAware, Strategy::Combined] {
+        for strategy in Strategy::ALL {
             for (nest, _) in w.program.nests() {
                 let mapping = match map_nest(&w.program, nest, &machine, strategy, &params) {
                     Ok(m) => m,

@@ -74,34 +74,6 @@ impl AffineMap {
         self.exprs.iter().map(|e| e.eval(point)).collect()
     }
 
-    /// Composes `self ∘ other`: first `other`, then `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other.n_out() != self.n_in()`.
-    pub fn compose(&self, other: &AffineMap) -> AffineMap {
-        assert_eq!(
-            other.n_out(),
-            self.n_in,
-            "composition dimensionality mismatch"
-        );
-        let exprs = self
-            .exprs
-            .iter()
-            .map(|e| {
-                // Substitute other's outputs into e.
-                let mut acc = AffineExpr::constant(other.n_in, e.constant_term());
-                for (v, &c) in e.coeffs().iter().enumerate() {
-                    if c != 0 {
-                        acc = acc + other.exprs[v].scaled(c);
-                    }
-                }
-                acc
-            })
-            .collect();
-        AffineMap::new(other.n_in, exprs)
-    }
-
     /// Computes the image of `domain` under the map by enumeration
     /// (exact for bounded domains), returned as a sorted, deduplicated list
     /// of points.
@@ -144,19 +116,6 @@ mod tests {
             ],
         );
         assert_eq!(r.apply(&[0, 2]), vec![1, 1]);
-    }
-
-    #[test]
-    fn compose_applies_right_then_left() {
-        // f(x) = 2x + 1 ; g(x) = x - 3 ; (f∘g)(x) = 2x - 5
-        let f = AffineMap::new(
-            1,
-            vec![AffineExpr::var(1, 0) * 2 + AffineExpr::constant(1, 1)],
-        );
-        let g = AffineMap::new(1, vec![AffineExpr::var(1, 0) - AffineExpr::constant(1, 3)]);
-        let fg = f.compose(&g);
-        assert_eq!(fg.apply(&[10]), vec![15]);
-        assert_eq!(fg.apply(&[0]), vec![-5]);
     }
 
     #[test]

@@ -227,4 +227,20 @@ mod tests {
             "children":[{"core":true}]}]}]}"#;
         assert!(machine_from_json(inverted).is_err());
     }
+
+    #[test]
+    fn rejects_a_cache_past_32_bits() {
+        let small =
+            crate::spec::parse_machine("toy 2.0GHz 100c: 2x[L2 1M 8w 12c: 2x[L1 32K 8w 3c]]")
+                .unwrap();
+        let json = machine_to_json(&small);
+        let huge = json.replace("\"size_bytes\":1048576", "\"size_bytes\":1099511627776");
+        assert_ne!(huge, json);
+        let err = machine_from_json(&huge).unwrap_err();
+        assert_eq!(
+            err,
+            "invalid cache geometry: cache size 1099511627776 exceeds the \
+             4294967295-byte ceiling"
+        );
+    }
 }

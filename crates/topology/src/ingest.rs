@@ -611,6 +611,26 @@ leaf L2 6M 24w 15c shared 2
     }
 
     #[test]
+    fn both_ingesters_reject_a_cache_past_32_bits() {
+        let e = parse_cpuid_leaves(
+            "machine toy 2.0GHz 100c cores 4\n\
+             leaf L1 32K 8w 3c shared 1\n\
+             leaf L2 1048576M 8w 12c shared 2\n",
+        )
+        .unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("4294967295-byte ceiling"), "{e}");
+        let e = parse_sysfs_dump(
+            "machine toy 2.0GHz 100c\n\
+             cpu0 index0: level 1 size 32K ways 8 line 64 latency 3 shared_cpu_map 0x1\n\
+             cpu0 index1: level 2 size 1048576M ways 8 line 64 latency 12 shared_cpu_map 0x1\n",
+        )
+        .unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("4294967295-byte ceiling"), "{e}");
+    }
+
+    #[test]
     fn level_containment_inversion_is_rejected() {
         // An L3 strictly inside an L2's domain: no tree can nest that.
         let e = parse_sysfs_dump(

@@ -307,34 +307,22 @@ impl Machine {
             self.clock_ghz,
             self.memory_latency,
         );
-        // Rebuild by walking the original tree, skipping over-level caches.
-        // Recursion via explicit stack to keep core-id order identical.
-        fn copy(
-            src: &Machine,
-            b: &mut MachineBuilder,
-            src_node: NodeId,
-            dst_parent: NodeId,
-            max_level: u8,
-        ) {
-            for &child in src.children(src_node) {
-                match src.kind(child) {
-                    NodeKind::Memory => unreachable!("memory is never a child"),
-                    NodeKind::Cache { level, params } => {
-                        if level > max_level {
-                            copy(src, b, child, dst_parent, max_level);
-                        } else {
-                            let n = b.cache(dst_parent, level, params);
-                            copy(src, b, child, n, max_level);
-                        }
-                    }
-                    NodeKind::Core(_) => {
-                        b.raw_core(dst_parent);
-                    }
-                }
-            }
-        }
-        copy(self, &mut b, NodeId::ROOT, NodeId::ROOT, max_level);
+        b.copy_subtree(self, NodeId::ROOT, NodeId::ROOT, &mut |_, level, params| {
+            (level <= max_level).then_some(params)
+        });
         b.build()
+    }
+
+    /// A builder holding a copy of this machine's tree, arena order and
+    /// all, to which more nodes can be added.
+    pub(crate) fn to_builder(&self) -> MachineBuilder {
+        MachineBuilder {
+            name: self.name.clone(),
+            clock_ghz: self.clock_ghz,
+            memory_latency: self.memory_latency,
+            nodes: self.nodes.clone(),
+            core_nodes: self.core_nodes.clone(),
+        }
     }
 
     /// A Table 1-style multi-line description.
@@ -440,6 +428,35 @@ impl MachineBuilder {
         let id = self.add_node(NodeKind::Core(core), parent);
         self.core_nodes.push(id);
         core
+    }
+
+    /// Copies `node` of `src` and its subtree under `parent`, depth first,
+    /// so the copied cores are numbered in tree order. `edit` gets each
+    /// cache's source node, level and parameters and returns the
+    /// parameters to build it with, or `None` to drop that cache and hang
+    /// its children on `parent` instead. The memory root is always
+    /// dropped that way: copying it copies the whole tree.
+    pub(crate) fn copy_subtree(
+        &mut self,
+        src: &Machine,
+        node: NodeId,
+        parent: NodeId,
+        edit: &mut dyn FnMut(NodeId, u8, CacheParams) -> Option<CacheParams>,
+    ) {
+        let parent = match src.kind(node) {
+            NodeKind::Memory => parent,
+            NodeKind::Cache { level, params } => match edit(node, level, params) {
+                Some(params) => self.cache(parent, level, params),
+                None => parent,
+            },
+            NodeKind::Core(_) => {
+                self.raw_core(parent);
+                return;
+            }
+        };
+        for &child in src.children(node) {
+            self.copy_subtree(src, child, parent, edit);
+        }
     }
 
     /// Finalizes the machine.

@@ -2,6 +2,12 @@
 
 use std::fmt;
 
+/// The largest cache size ingestion accepts: a size fits in 32 bits, the
+/// width a cpuid-style cache description gives a cache's total size. It
+/// keeps one parsed cache from asking the simulator for terabytes of
+/// state; what a whole machine may simulate is a separate budget.
+const MAX_SIZE_BYTES: u64 = u32::MAX as u64;
+
 /// Size, geometry and latency of one cache.
 ///
 /// # Example
@@ -29,7 +35,8 @@ impl CacheParams {
     ///
     /// Panics unless `line_bytes` is a power of two, `associativity >= 1`,
     /// and `size_bytes` is a positive multiple of
-    /// `associativity * line_bytes` (so the set count is integral).
+    /// `associativity * line_bytes` (so the set count is integral) of at
+    /// most `u32::MAX` bytes.
     pub fn new(size_bytes: u64, associativity: u32, line_bytes: u32, latency: u32) -> Self {
         match Self::try_new(size_bytes, associativity, line_bytes, latency) {
             Ok(p) => p,
@@ -44,7 +51,8 @@ impl CacheParams {
     ///
     /// A human-readable description of the first violated geometry rule:
     /// `line_bytes` must be a power of two, `associativity >= 1`, and
-    /// `size_bytes` a positive multiple of `associativity * line_bytes`.
+    /// `size_bytes` a positive multiple of `associativity * line_bytes` of
+    /// at most `u32::MAX` bytes (4 GiB less one byte).
     pub fn try_new(
         size_bytes: u64,
         associativity: u32,
@@ -63,6 +71,11 @@ impl CacheParams {
         if size_bytes == 0 || !size_bytes.is_multiple_of(way_bytes) {
             return Err(format!(
                 "cache size {size_bytes} is not a multiple of assoc*line = {way_bytes}"
+            ));
+        }
+        if size_bytes > MAX_SIZE_BYTES {
+            return Err(format!(
+                "cache size {size_bytes} exceeds the {MAX_SIZE_BYTES}-byte ceiling"
             ));
         }
         Ok(Self {
@@ -187,6 +200,17 @@ mod tests {
     #[should_panic(expected = "not a multiple")]
     fn rejects_fractional_sets() {
         let _ = CacheParams::new(1000, 4, 64, 1);
+    }
+
+    #[test]
+    fn sizes_past_32_bits_are_rejected() {
+        // 4 GiB is a legal geometry, one byte past the ceiling.
+        let err = CacheParams::try_new(4 * 1024 * MB, 16, 64, 40).unwrap_err();
+        assert_eq!(
+            err,
+            "cache size 4294967296 exceeds the 4294967295-byte ceiling"
+        );
+        assert!(CacheParams::try_new(2 * 1024 * MB, 16, 64, 40).is_ok());
     }
 
     #[test]

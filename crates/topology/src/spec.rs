@@ -46,9 +46,9 @@ impl SpecError {
     /// the source it was produced from:
     ///
     /// ```text
-    /// line 1, column 22: invalid cache geometry (...)
+    /// line 1, column 31: invalid cache geometry: cache size 5242880 is not a multiple of assoc*line = 448
     ///   m 2.0GHz 100c: 2x[L2 5M 7w 10c]
-    ///                      ^
+    ///                                ^
     /// ```
     ///
     /// `src` must be the string the error's `offset` indexes into; offsets
@@ -211,18 +211,19 @@ pub(crate) fn parse_cache(c: &mut Cursor<'_>) -> Result<SpecCache, SpecError> {
             }
         }
     };
-    if assoc == 0 || assoc > u64::from(u32::MAX) || latency > u64::from(u32::MAX) {
+    if assoc > u64::from(u32::MAX) || latency > u64::from(u32::MAX) {
         return Err(c.error("associativity/latency out of range"));
     }
-    if !(line.is_power_of_two() && line <= u64::from(u32::MAX))
-        || size == 0
-        || size % (assoc * line) != 0
-    {
-        return Err(c.error("invalid cache geometry (size must be a multiple of assoc*line)"));
-    }
+    let line = u32::try_from(line).map_err(|_| {
+        c.error(format!(
+            "invalid cache geometry: line size {line} out of range"
+        ))
+    })?;
+    let params = CacheParams::try_new(size, assoc as u32, line, latency as u32)
+        .map_err(|e| c.error(format!("invalid cache geometry: {e}")))?;
     Ok(SpecCache {
         level: level as u8,
-        params: CacheParams::new(size, assoc as u32, line as u32, latency as u32),
+        params,
     })
 }
 
@@ -469,6 +470,19 @@ mod tests {
         // 2^33 bytes: a power of two, but wider than CacheParams can hold.
         let err = parse_machine("m 1.0GHz 100c: 1x[L1 32K 8w 3c 8589934592b]").unwrap_err();
         assert!(err.message.contains("geometry"), "{err}");
+    }
+
+    #[test]
+    fn caches_past_32_bits_are_a_geometry_error() {
+        // A 1 TiB L2: a legal geometry whose simulated tag array alone
+        // would take 128 GiB.
+        let err =
+            parse_machine("toy 2.0GHz 100c: 2x[L2 1048576M 8w 12c: 2x[L1 32K 8w 3c]]").unwrap_err();
+        assert_eq!(
+            err.message,
+            "invalid cache geometry: cache size 1099511627776 exceeds the \
+             4294967295-byte ceiling"
+        );
     }
 
     #[test]

@@ -220,18 +220,14 @@ pub fn inject(m: &Machine, defect: Defect) -> Machine {
             let target = first_nested_cache(m)
                 .unwrap_or_else(|| panic!("{}: no nested cache to invert", m.name()));
             let psize = parent_params(m, target).size_bytes();
-            rebuild_params(m, &name, &mut |node, _, p| {
-                if node == target {
-                    let way = u64::from(p.associativity()) * u64::from(p.line_bytes());
-                    CacheParams::new(
-                        (psize * 2).div_ceil(way) * way,
-                        p.associativity(),
-                        p.line_bytes(),
-                        p.latency(),
-                    )
-                } else {
-                    p
-                }
+            rebuild_params(m, &name, target, |p| {
+                let way = u64::from(p.associativity()) * u64::from(p.line_bytes());
+                CacheParams::new(
+                    (psize * 2).div_ceil(way) * way,
+                    p.associativity(),
+                    p.line_bytes(),
+                    p.latency(),
+                )
             })
         }
         Defect::LineShrink => {
@@ -244,23 +240,15 @@ pub fn inject(m: &Machine, defect: Defect) -> Machine {
                 .line_bytes()
                 .max(32)
                 / 2;
-            rebuild_params(m, &name, &mut |node, _, p| {
-                if node == target {
-                    CacheParams::new(p.size_bytes(), p.associativity(), new_line, p.latency())
-                } else {
-                    p
-                }
+            rebuild_params(m, &name, target, |p| {
+                CacheParams::new(p.size_bytes(), p.associativity(), new_line, p.latency())
             })
         }
         Defect::ZeroLatency => {
             let target =
                 first_cache(m).unwrap_or_else(|| panic!("{}: no cache to zero out", m.name()));
-            rebuild_params(m, &name, &mut |node, _, p| {
-                if node == target {
-                    CacheParams::new(p.size_bytes(), p.associativity(), p.line_bytes(), 0)
-                } else {
-                    p
-                }
+            rebuild_params(m, &name, target, |p| {
+                CacheParams::new(p.size_bytes(), p.associativity(), p.line_bytes(), 0)
             })
         }
         Defect::AsymmetricArity => {
@@ -317,64 +305,38 @@ fn parent_params(m: &Machine, node: NodeId) -> CacheParams {
         .expect("caller guarantees a cache parent")
 }
 
-/// Rebuilds `m` with every cache's parameters passed through `f`,
+/// Keeps every cache as it is.
+fn keep(_: NodeId, _: u8, params: CacheParams) -> Option<CacheParams> {
+    Some(params)
+}
+
+/// Rebuilds `m` with the parameters of cache `target` passed through `f`,
 /// preserving structure and core order.
 fn rebuild_params(
     m: &Machine,
     name: &str,
-    f: &mut dyn FnMut(NodeId, u8, CacheParams) -> CacheParams,
+    target: NodeId,
+    f: impl FnOnce(CacheParams) -> CacheParams,
 ) -> Machine {
+    let params = f(m.cache_params(target).expect("target is a cache"));
     let mut b = Machine::builder(name, m.clock_ghz(), m.memory_latency());
-    fn copy(
-        m: &Machine,
-        b: &mut MachineBuilder,
-        f: &mut dyn FnMut(NodeId, u8, CacheParams) -> CacheParams,
-        src: NodeId,
-        dst: NodeId,
-    ) {
-        for &child in m.children(src) {
-            match m.kind(child) {
-                NodeKind::Memory => unreachable!("memory is never a child"),
-                NodeKind::Cache { level, params } => {
-                    let n = b.cache(dst, level, f(child, level, params));
-                    copy(m, b, f, child, n);
-                }
-                NodeKind::Core(_) => {
-                    b.raw_core(dst);
-                }
-            }
-        }
-    }
-    copy(m, &mut b, f, NodeId::ROOT, NodeId::ROOT);
+    b.copy_subtree(m, NodeId::ROOT, NodeId::ROOT, &mut |node, _, p| {
+        Some(if node == target { params } else { p })
+    });
     b.build()
 }
 
 /// Rebuilds `m` unchanged except that `target` gets one extra copy of its
 /// last child subtree appended.
 fn rebuild_with_duplicate(m: &Machine, name: &str, target: NodeId) -> Machine {
+    // The copy goes to the end of the arena; copying the grown tree again,
+    // depth first, puts it right after `target`'s own children.
+    let mut grown = m.to_builder();
+    let last = *m.children(target).last().expect("target has children");
+    grown.copy_subtree(m, last, target, &mut keep);
+    let grown = grown.build();
     let mut b = Machine::builder(name, m.clock_ghz(), m.memory_latency());
-    fn copy(m: &Machine, b: &mut MachineBuilder, target: NodeId, src: NodeId, dst: NodeId) {
-        for &child in m.children(src) {
-            copy_node(m, b, target, child, dst);
-        }
-        if src == target {
-            let last = *m.children(src).last().expect("target has children");
-            copy_node(m, b, target, last, dst);
-        }
-    }
-    fn copy_node(m: &Machine, b: &mut MachineBuilder, target: NodeId, node: NodeId, dst: NodeId) {
-        match m.kind(node) {
-            NodeKind::Memory => unreachable!("memory is never a child"),
-            NodeKind::Cache { level, params } => {
-                let n = b.cache(dst, level, params);
-                copy(m, b, target, node, n);
-            }
-            NodeKind::Core(_) => {
-                b.raw_core(dst);
-            }
-        }
-    }
-    copy(m, &mut b, target, NodeId::ROOT, NodeId::ROOT);
+    b.copy_subtree(&grown, NodeId::ROOT, NodeId::ROOT, &mut keep);
     b.build()
 }
 
@@ -382,23 +344,10 @@ fn rebuild_with_duplicate(m: &Machine, name: &str, target: NodeId) -> Machine {
 /// whose root cache is skipped, so its cores miss the outermost level.
 fn rebuild_with_skipped_socket(m: &Machine, name: &str, top: NodeId) -> Machine {
     let mut b = Machine::builder(name, m.clock_ghz(), m.memory_latency());
-    fn copy(m: &Machine, b: &mut MachineBuilder, src: NodeId, dst: NodeId) {
-        for &child in m.children(src) {
-            match m.kind(child) {
-                NodeKind::Memory => unreachable!("memory is never a child"),
-                NodeKind::Cache { level, params } => {
-                    let n = b.cache(dst, level, params);
-                    copy(m, b, child, n);
-                }
-                NodeKind::Core(_) => {
-                    b.raw_core(dst);
-                }
-            }
-        }
-    }
-    copy(m, &mut b, NodeId::ROOT, NodeId::ROOT);
-    // The skipped copy: `top`'s children hang directly off the root.
-    copy(m, &mut b, top, NodeId::ROOT);
+    b.copy_subtree(m, NodeId::ROOT, NodeId::ROOT, &mut keep);
+    b.copy_subtree(m, top, NodeId::ROOT, &mut |node, _, p| {
+        (node != top).then_some(p)
+    });
     b.build()
 }
 

@@ -90,7 +90,10 @@ fn main() {
         &CtamParams::default(),
     )
     .expect("spmv maps");
-    println!("mapping: {}", mapping.parallelism);
+    println!(
+        "mapping: {}",
+        dependence::analyze_nest(&w.program, nest).classify()
+    );
     let diags = verify_mapping(&w.program, &machine, &mapping, &mapping.schedule);
     assert!(
         diags.iter().all(|d| d.severity() != Severity::Error),

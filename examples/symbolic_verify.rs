@@ -78,7 +78,10 @@ fn main() {
         &CtamParams::default(),
     )
     .expect("rowsum maps");
-    println!("mapping: {}", mapping.parallelism);
+    println!(
+        "mapping: {}",
+        dependence::analyze_nest(&w.program, nest).classify()
+    );
     let diags = verify_mapping(&w.program, &machine, &mapping, &mapping.schedule);
     assert!(
         diags.iter().all(|d| d.severity() != Severity::Error),
