@@ -7,13 +7,19 @@
 //! bound-propagation over the serialized constraint rows, recounts the
 //! mapping-unit partition, re-validates every index-table fact by a direct
 //! scan, substitutes every distance witness into the pair's subscripts, and
-//! re-derives exact conflict sets wherever a value-bucket scan is affordable.
-//! The only claims taken on trust are the *completeness* of the analyzer's
-//! Fourier–Motzkin candidate sets for symbolic pairs whose exact
-//! re-derivation would exceed [`WORK_CAP`] — see DESIGN.md §12 for the
+//! re-derives exact conflict sets by a sorted join wherever affordable.
+//! The domain is one flat, lexicographically ordered array of points,
+//! indexed by the ranks of their cells in a bitmap over the enumeration
+//! box, so a shifted point is found by arithmetic, never built; the join
+//! records each matching pair's distance as one bit of a bitmap of
+//! mixed-radix codes. The only claims taken on trust are the *completeness*
+//! of the analyzer's Fourier–Motzkin candidate sets for symbolic pairs whose
+//! exact re-derivation would exceed [`WORK_CAP`] — see DESIGN.md §12 for the
 //! trusted-computing-base argument.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cell::OnceCell;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap};
 
 use crate::model::{CertExpr, CertPair, CertRef, CertSubscript, CertTable, Certificate, Verdict};
 
@@ -21,10 +27,11 @@ use crate::model::{CertExpr, CertPair, CertRef, CertSubscript, CertTable, Certif
 /// refuses domains it cannot afford to enumerate instead of guessing).
 pub const MAX_POINTS: u128 = 1 << 26;
 
-/// Cap on the pairwise work of an exact conflict-set re-derivation; above
-/// it the checker falls back to witness + per-candidate refutation checking
-/// (which trusts Fourier–Motzkin completeness).
-pub const WORK_CAP: u128 = 1 << 24;
+/// Cap on the work of an exact conflict-set re-derivation: its pairwise
+/// checks plus the bits of its distance bitmap. Above it the checker falls
+/// back to witness + per-candidate refutation checking (which trusts
+/// Fourier–Motzkin completeness).
+pub const WORK_CAP: u128 = 1 << 26;
 
 /// The coded rejection classes of the checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -144,44 +151,94 @@ pub struct CheckStats {
 // Domain enumeration by interval bound propagation.
 // ---------------------------------------------------------------------------
 
-fn div_floor128(a: i128, b: i128) -> i128 {
-    debug_assert!(b > 0);
-    a.div_euclid(b)
+/// The cells of a box, first coordinate most significant, with a presence
+/// bit per cell and a running popcount per 64-bit word: a present cell's
+/// rank is its index among the present cells, in lexicographic order.
+struct Cells {
+    lo: Vec<i64>,
+    ext: Vec<u64>,
+    bits: Vec<u64>,
+    ranks: Vec<u32>,
 }
 
-fn div_ceil128(a: i128, b: i128) -> i128 {
-    debug_assert!(b > 0);
-    -((-a).div_euclid(b))
+impl Cells {
+    /// The index of `points`' cells in the box `lo .. lo + ext` (at most
+    /// [`MAX_POINTS`] cells).
+    fn new<'a>(lo: &[i64], ext: &[u64], points: impl Iterator<Item = &'a [i64]>) -> Self {
+        let n: u64 = ext.iter().product();
+        let mut cells = Cells {
+            lo: lo.to_vec(),
+            ext: ext.to_vec(),
+            bits: vec![0; n.div_ceil(64) as usize],
+            ranks: Vec::new(),
+        };
+        for p in points {
+            // `p + 0 · p` is `p`.
+            if let Some(c) = cells.cell(p, p, 0) {
+                cells.bits[c / 64] |= 1 << (c % 64);
+            }
+        }
+        // The count of present cells before each word.
+        let count =
+            |total: &mut u32, w: &u64| Some(std::mem::replace(total, *total + w.count_ones()));
+        cells.ranks = cells.bits.iter().scan(0, count).collect();
+        cells
+    }
+
+    /// The cell at `p + sign · d`, computed exactly, if inside the box.
+    fn cell(&self, p: &[i64], d: &[i64], sign: i128) -> Option<usize> {
+        let mut cell = 0;
+        for (v, (&x, &dx)) in p.iter().zip(d).enumerate() {
+            let off = i128::from(x) + sign * i128::from(dx) - i128::from(self.lo[v]);
+            if !(0..i128::from(self.ext[v])).contains(&off) {
+                return None;
+            }
+            cell = cell * self.ext[v] as usize + off as usize;
+        }
+        Some(cell)
+    }
+
+    /// The rank of `p + sign · d`, if that cell is present.
+    fn find(&self, p: &[i64], d: &[i64], sign: i128) -> Option<usize> {
+        let c = self.cell(p, d, sign)?;
+        let (word, bit) = (self.bits[c / 64], c % 64);
+        let below = (word & ((1 << bit) - 1)).count_ones();
+        (word >> bit & 1 == 1).then(|| (self.ranks[c / 64] + below) as usize)
+    }
 }
 
+/// The iteration domain: `depth` coordinates per point, in lexicographic
+/// order, and the rank index of their cells.
 struct Domain {
-    points: Vec<Vec<i64>>,
-    index: HashMap<Vec<i64>, usize>,
+    depth: usize,
+    coords: Vec<i64>,
+    cells: Cells,
 }
 
 impl Domain {
-    fn contains(&self, p: &[i64]) -> bool {
-        self.index.contains_key(p)
+    fn point(&self, i: usize) -> &[i64] {
+        &self.coords[i * self.depth..(i + 1) * self.depth]
     }
 
-    fn shifted(&self, p: &[i64], d: &[i64]) -> Vec<i64> {
-        p.iter().zip(d).map(|(&x, &dx)| x + dx).collect()
+    fn points(&self) -> std::slice::ChunksExact<'_, i64> {
+        self.coords.chunks_exact(self.depth)
+    }
+
+    /// The index of the point `p + d`, if it is in the domain.
+    fn find(&self, p: &[i64], d: &[i64]) -> Option<usize> {
+        self.cells.find(p, d, 1)
     }
 }
 
 fn satisfies(cert: &Certificate, p: &[i64]) -> bool {
     cert.domain.iter().all(|c| {
-        let v: i128 = i128::from(c.constant)
-            + c.coeffs
-                .iter()
-                .zip(p)
-                .map(|(&a, &x)| i128::from(a) * i128::from(x))
-                .sum::<i128>();
-        if c.eq {
-            v == 0
-        } else {
-            v >= 0
-        }
+        let terms = c
+            .coeffs
+            .iter()
+            .zip(p)
+            .map(|(&a, &x)| i128::from(a) * i128::from(x));
+        let v = i128::from(c.constant) + terms.sum::<i128>();
+        v == 0 || (!c.eq && v > 0)
     })
 }
 
@@ -234,14 +291,14 @@ fn enumerate_domain(cert: &Certificate) -> Result<Domain, Rejection> {
                     continue;
                 }
                 if cv > 0 {
-                    let nl = div_ceil128(bound, cv);
+                    let nl = -(-bound).div_euclid(cv); // ⌈bound / cv⌉
                     if lo[v].is_none_or(|l| nl > l) {
                         lo[v] = Some(nl);
                         changed = true;
                     }
                 } else {
                     // cv x >= bound with cv < 0  <=>  (-cv) x <= -bound.
-                    let nh = div_floor128(-bound, -cv);
+                    let nh = (-bound).div_euclid(-cv);
                     if hi[v].is_none_or(|h| nh < h) {
                         hi[v] = Some(nh);
                         changed = true;
@@ -273,43 +330,46 @@ fn enumerate_domain(cert: &Certificate) -> Result<Domain, Rejection> {
         box_lo.push(l);
         box_hi.push(h);
     }
-    let mut points = Vec::new();
-    if !empty {
-        let volume: u128 = (0..depth)
-            .map(|v| (i128::from(box_hi[v]) - i128::from(box_lo[v]) + 1).max(0) as u128)
-            .product();
-        if volume > MAX_POINTS {
-            return Err(reject(
-                RejectCode::Malformed,
-                format!("domain box holds {volume} points, over the checker's cap"),
-            ));
+    // An empty domain keeps an empty box, where every lookup misses.
+    let extent = |l: i64, h: i64| {
+        if empty {
+            0
+        } else {
+            i128::from(h) - i128::from(l) + 1
         }
-        // Odometer over the box in lexicographic order.
-        let mut cur = box_lo.clone();
-        'outer: loop {
-            if satisfies(cert, &cur) {
-                points.push(cur.clone());
+    };
+    let volume = (box_lo.iter().zip(&box_hi))
+        .try_fold(1u128, |n, (&l, &h)| n.checked_mul(extent(l, h) as u128));
+    let Some(volume) = volume.filter(|&n| n <= MAX_POINTS) else {
+        let n = volume.map_or_else(|| "over 2^128".to_owned(), |n| n.to_string());
+        return Err(reject(
+            RejectCode::Malformed,
+            format!("domain box holds {n} points, over the checker's cap"),
+        ));
+    };
+    // Odometer over the box in lexicographic order.
+    let (mut coords, mut cur) = (Vec::new(), box_lo.clone());
+    for _ in 0..volume {
+        if satisfies(cert, &cur) {
+            coords.extend_from_slice(&cur);
+        }
+        for d in (0..depth).rev() {
+            if cur[d] < box_hi[d] {
+                cur[d] += 1;
+                break;
             }
-            let mut d = depth;
-            loop {
-                if d == 0 {
-                    break 'outer;
-                }
-                d -= 1;
-                if cur[d] < box_hi[d] {
-                    cur[d] += 1;
-                    break;
-                }
-                cur[d] = box_lo[d];
-            }
+            cur[d] = box_lo[d];
         }
     }
-    let index = points
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.clone(), i))
+    let ext: Vec<u64> = (box_lo.iter().zip(&box_hi))
+        .map(|(&l, &h)| extent(l, h) as u64)
         .collect();
-    Ok(Domain { points, index })
+    let cells = Cells::new(&box_lo, &ext, coords.chunks_exact(depth));
+    Ok(Domain {
+        depth,
+        coords,
+        cells,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -325,7 +385,7 @@ fn concrete_element(cert: &Certificate, r: &CertRef, point: &[i64]) -> Result<u6
             let mut flat: u64 = 0;
             for (d, row) in rows.iter().enumerate() {
                 let extent = dims[d];
-                let clamped = row.eval(point).clamp(0, extent as i64 - 1) as u64;
+                let clamped = row.eval(point).clamp(0, i128::from(extent) - 1) as u64;
                 flat = flat * extent + clamped;
             }
             Ok(flat)
@@ -348,20 +408,18 @@ fn concrete_element(cert: &Certificate, r: &CertRef, point: &[i64]) -> Result<u6
                     format!("array `{}` has a zero extent", cert.arrays[r.array].name),
                 ));
             }
-            let sel = selector.eval(point).rem_euclid(t.values.len() as i64);
+            let sel = selector.eval(point).rem_euclid(t.values.len() as i128);
             Ok(t.values[sel as usize] % n_elements)
         }
     }
 }
 
 /// Exact per-variable bounding box of the enumerated points.
-fn exact_box(points: &[Vec<i64>], depth: usize) -> Option<Vec<(i64, i64)>> {
-    let first = points.first()?;
-    let mut bx: Vec<(i64, i64)> = first.iter().map(|&x| (x, x)).collect();
-    for p in points {
-        for (v, &x) in p.iter().enumerate().take(depth) {
-            bx[v].0 = bx[v].0.min(x);
-            bx[v].1 = bx[v].1.max(x);
+fn exact_box(dom: &Domain) -> Option<Vec<(i64, i64)>> {
+    let mut bx: Vec<(i64, i64)> = dom.points().next()?.iter().map(|&x| (x, x)).collect();
+    for p in dom.points() {
+        for (b, &x) in bx.iter_mut().zip(p) {
+            *b = (b.0.min(x), b.1.max(x));
         }
     }
     Some(bx)
@@ -439,74 +497,115 @@ fn require_in_bounds(
 }
 
 // ---------------------------------------------------------------------------
-// Exact conflict-set re-derivation by value buckets.
+// Exact conflict-set re-derivation by a sorted join.
 // ---------------------------------------------------------------------------
 
-fn lex_normalize(mut d: Vec<i64>) -> Option<Vec<i64>> {
-    match d.iter().find(|&&x| x != 0) {
-        None => None,
-        Some(&first) => {
-            if first < 0 {
-                for x in &mut d {
-                    *x = -*x;
-                }
-            }
-            Some(d)
-        }
-    }
+/// Each point's `width`-row key, as `(key, point)` sorted by key.
+fn sorted_keys(keys: &[i128], width: usize) -> Vec<(&[i128], usize)> {
+    let mut sorted: Vec<(&[i128], usize)> = keys.chunks_exact(width).zip(0..).collect();
+    sorted.sort_unstable();
+    sorted
 }
 
-/// Exact set of lexicographically-normalized non-zero distances between
-/// iterations where `key_a(p) == key_b(q)`, or `None` when the pairwise work
-/// exceeds [`WORK_CAP`].
-fn exact_distances_by_key<K: Ord + Clone>(
-    points: &[Vec<i64>],
-    key_a: impl Fn(&[i64]) -> K,
-    key_b: impl Fn(&[i64]) -> K,
+/// Exact set of lexicographically normalized non-zero distances `q - p` over
+/// the point pairs whose `width`-row keys agree, `key_a(p, row) == key_b(q,
+/// row)`, or `None` when the pairwise work plus the distance bitmap's bits
+/// exceed [`WORK_CAP`].
+///
+/// Each side is sorted by key and its runs of equal keys are paired. A
+/// point's code is its offset in the exact box `bx` in mixed radix `2·span +
+/// 1` per variable, first variable most significant: a pair's normalized
+/// distance has code `|code(q) − code(p)|`, and code order is lex order.
+fn exact_distances(
+    dom: &Domain,
+    bx: &[(i64, i64)],
+    width: usize,
+    key_a: impl Fn(&[i64], usize) -> i128,
+    key_b: impl Fn(&[i64], usize) -> i128,
 ) -> Option<BTreeSet<Vec<i64>>> {
-    let mut by_a: BTreeMap<K, Vec<usize>> = BTreeMap::new();
-    let mut by_b: BTreeMap<K, Vec<usize>> = BTreeMap::new();
-    for (i, p) in points.iter().enumerate() {
-        by_a.entry(key_a(p)).or_default().push(i);
-        by_b.entry(key_b(p)).or_default().push(i);
-    }
-    let mut work: u128 = 0;
-    for (k, la) in &by_a {
-        if let Some(lb) = by_b.get(k) {
-            work += la.len() as u128 * lb.len() as u128;
-            if work > WORK_CAP {
-                return None;
+    let keys = |key: &dyn Fn(&[i64], usize) -> i128| -> Vec<i128> {
+        dom.points()
+            .flat_map(|p| (0..width).map(move |r| key(p, r)))
+            .collect()
+    };
+    let (keys_a, keys_b) = (keys(&key_a), keys(&key_b));
+    let (sa, sb) = (sorted_keys(&keys_a, width), sorted_keys(&keys_b, width));
+    let mut runs = Vec::new();
+    let (mut i, mut j, mut work) = (0, 0, 0u128);
+    while i < sa.len() && j < sb.len() {
+        match sa[i].0.cmp(sb[j].0) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                let k = sa[i].0;
+                let ie = i + sa[i..].iter().take_while(|e| e.0 == k).count();
+                let je = j + sb[j..].iter().take_while(|e| e.0 == k).count();
+                work += (ie - i) as u128 * (je - j) as u128;
+                runs.push((i..ie, j..je));
+                (i, j) = (ie, je);
             }
         }
     }
-    let mut out = BTreeSet::new();
-    for (k, la) in &by_a {
-        let Some(lb) = by_b.get(k) else { continue };
-        for &ia in la {
-            for &ib in lb {
-                let d: Vec<i64> = points[ib]
-                    .iter()
-                    .zip(&points[ia])
-                    .map(|(x, y)| x - y)
-                    .collect();
-                if let Some(d) = lex_normalize(d) {
-                    out.insert(d);
-                }
+    if work == 0 {
+        return Some(BTreeSet::new());
+    }
+    // Every code fits in `[-bits, bits]`; the bitmap is counted as work
+    // before it is allocated.
+    let radix: Vec<u128> = bx.iter().map(|&(l, h)| 2 * (h - l) as u128 + 1).collect();
+    let bits = radix.iter().try_fold(1u128, |n, &r| n.checked_mul(r))? / 2;
+    if work.saturating_add(bits) > WORK_CAP {
+        return None;
+    }
+    let place: Vec<i64> = (1..=radix.len())
+        .map(|v| radix[v..].iter().product::<u128>() as i64)
+        .collect();
+    let code = |p: &[i64]| -> i64 {
+        let digits = p.iter().zip(bx).zip(&place);
+        digits.map(|((&x, b), &w)| (x - b.0) * w).sum()
+    };
+    let codes = |side: &[(&[i128], usize)]| -> Vec<i64> {
+        side.iter().map(|&(_, i)| code(dom.point(i))).collect()
+    };
+    let (codes_a, codes_b) = (codes(&sa), codes(&sb));
+    let mut seen = vec![0u64; (bits as usize + 1).div_ceil(64)];
+    for (ra, rb) in runs {
+        let run_b = &codes_b[rb];
+        for &x in &codes_a[ra] {
+            for &y in run_b {
+                let d = x.abs_diff(y) as usize;
+                seen[d / 64] |= 1 << (d % 64);
             }
         }
     }
-    Some(out)
-}
-
-fn affine_key(rows: &[CertExpr], p: &[i64]) -> Vec<i64> {
-    rows.iter().map(|e| e.eval(p)).collect()
+    // Balanced digits: each in `[-span, span]`, the remainder below half
+    // the place value.
+    let decode = |mut rest: i64| -> Vec<i64> {
+        let digits = place.iter().map(|&p| {
+            let digit = (rest + p / 2).div_euclid(p);
+            rest -= digit * p;
+            digit
+        });
+        digits.collect()
+    };
+    let set = (1..=bits as usize).filter(|&c| seen[c / 64] >> (c % 64) & 1 == 1);
+    Some(set.map(|c| decode(c as i64)).collect())
 }
 
 // ---------------------------------------------------------------------------
 // Table facts.
 // ---------------------------------------------------------------------------
 
-fn check_table(idx: usize, t: &CertTable) -> Result<(), Rejection> {
+/// The first value of `values` to repeat, in table order (found by sorting
+/// `(value, position)`).
+fn first_repeat(values: &[u64]) -> Option<u64> {
+    let mut sorted: Vec<(u64, usize)> = values.iter().copied().zip(0..).collect();
+    sorted.sort_unstable();
+    let second = sorted.windows(2).filter(|w| w[0].0 == w[1].0);
+    second.map(|w| w[1].1).min().map(|at| values[at])
+}
+
+/// `repeat` is the table's [`first_repeat`] where it claims injectivity.
+fn check_table(idx: usize, t: &CertTable, repeat: Option<u64>) -> Result<(), Rejection> {
     let f = &t.facts;
     let fail = |what: String| reject(RejectCode::IndexFacts, format!("table {idx}: {what}"));
     if f.len != t.values.len() {
@@ -533,13 +632,8 @@ fn check_table(idx: usize, t: &CertTable) -> Result<(), Rejection> {
             "claimed strictly increasing but a value repeats or decreases".to_owned(),
         ));
     }
-    if f.injective {
-        let mut seen: BTreeSet<u64> = BTreeSet::new();
-        for &v in &t.values {
-            if !seen.insert(v) {
-                return Err(fail(format!("claimed injective but value {v} repeats")));
-            }
-        }
+    if let Some(v) = repeat {
+        return Err(fail(format!("claimed injective but value {v} repeats")));
     }
     if f.permutation {
         let mut sorted = t.values.clone();
@@ -681,14 +775,10 @@ fn check_shapes(cert: &Certificate) -> Result<(), Rejection> {
 /// and per-unit point ranges.
 fn recount_units(cert: &Certificate, dom: &Domain) -> (Vec<usize>, Vec<(usize, usize)>) {
     let prefix = cert.unit_prefix;
-    let mut unit_of = Vec::with_capacity(dom.points.len());
+    let mut unit_of = Vec::with_capacity(dom.points().len());
     let mut units: Vec<(usize, usize)> = Vec::new();
-    for (i, p) in dom.points.iter().enumerate() {
-        let starts_new = match i.checked_sub(1).map(|j| &dom.points[j]) {
-            None => true,
-            Some(prev) => prev[..prefix] != p[..prefix],
-        };
-        if starts_new {
+    for (i, p) in dom.points().enumerate() {
+        if i == 0 || dom.point(i - 1)[..prefix] != p[..prefix] {
             units.push((i, 0));
         }
         let last = units.len() - 1;
@@ -876,24 +966,28 @@ fn check_distance_shapes(cert: &Certificate, p: &CertPair) -> Result<(), Rejecti
 /// substitution exhibits the conflict in one orientation.
 fn check_witnesses(cert: &Certificate, dom: &Domain, p: &CertPair) -> Result<usize, Rejection> {
     let label = format!("pair ({}, {})", p.ref_a, p.ref_b);
-    let ra = &cert.refs[p.ref_a];
-    let rb = &cert.refs[p.ref_b];
+    let (ra, rb) = (&cert.refs[p.ref_a], &cert.refs[p.ref_b]);
     for (d, w) in &p.witnesses {
-        if !dom.contains(w) {
+        if dom.cells.find(w, d, 0).is_none() {
             return Err(reject(
                 RejectCode::Witness,
                 format!("{label}: witness point {w:?} is outside the iteration domain"),
             ));
         }
-        let shifted = dom.shifted(w, d);
-        if !dom.contains(&shifted) {
+        let Some(j) = dom.find(w, d) else {
+            let shifted: Vec<i128> = w
+                .iter()
+                .zip(d)
+                .map(|(&x, &y)| i128::from(x) + i128::from(y))
+                .collect();
             return Err(reject(
                 RejectCode::Witness,
                 format!("{label}: witness endpoint {shifted:?} is outside the iteration domain"),
             ));
-        }
-        let fwd = concrete_element(cert, ra, w)? == concrete_element(cert, rb, &shifted)?;
-        let bwd = concrete_element(cert, rb, w)? == concrete_element(cert, ra, &shifted)?;
+        };
+        let shifted = dom.point(j);
+        let fwd = concrete_element(cert, ra, w)? == concrete_element(cert, rb, shifted)?;
+        let bwd = concrete_element(cert, rb, w)? == concrete_element(cert, ra, shifted)?;
         if !fwd && !bwd {
             return Err(reject(
                 RejectCode::Witness,
@@ -910,12 +1004,11 @@ fn check_witnesses(cert: &Certificate, dom: &Domain, p: &CertPair) -> Result<usi
 /// Re-derives the uniformly-generated distance: equal linear parts, constant
 /// rows matching, single-variable `±1` rows pinning every variable.
 fn expected_uniform(
-    cert: &Certificate,
     dom: &Domain,
     rows_a: &[CertExpr],
     rows_b: &[CertExpr],
 ) -> Result<Vec<Vec<i64>>, String> {
-    let depth = cert.depth;
+    let depth = dom.depth;
     if rows_a.len() != rows_b.len() {
         return Err("subscript rank mismatch".to_owned());
     }
@@ -926,7 +1019,7 @@ fn expected_uniform(
     {
         return Err("linear parts differ".to_owned());
     }
-    let mut delta: Vec<Option<i64>> = vec![None; depth];
+    let mut delta: Vec<Option<i128>> = vec![None; depth];
     for (ea, eb) in rows_a.iter().zip(rows_b) {
         let nz: Vec<usize> = (0..depth).filter(|&v| ea.coeffs[v] != 0).collect();
         match nz.as_slice() {
@@ -935,8 +1028,9 @@ fn expected_uniform(
                     return Ok(Vec::new()); // constant rows differ: no conflict ever
                 }
             }
-            [v] if ea.coeffs[*v].abs() == 1 => {
-                let val = (eb.constant - ea.constant) * ea.coeffs[*v];
+            [v] if ea.coeffs[*v].unsigned_abs() == 1 => {
+                let gap = i128::from(eb.constant) - i128::from(ea.constant);
+                let val = gap * i128::from(ea.coeffs[*v]);
                 match delta[*v] {
                     None => delta[*v] = Some(val),
                     Some(prev) if prev == val => {}
@@ -946,21 +1040,22 @@ fn expected_uniform(
             _ => return Err("a row is coupled or scaled".to_owned()),
         }
     }
-    if delta.iter().any(Option::is_none) {
-        return Err("the rows do not pin every variable".to_owned());
-    }
-    let delta: Vec<i64> = delta.into_iter().map(|x| x.unwrap_or(0)).collect();
-    match lex_normalize(delta) {
-        None => Ok(Vec::new()), // the only conflict is intra-iteration
-        Some(d) => {
-            let realized = dom.points.iter().any(|p| dom.contains(&dom.shifted(p, &d)));
-            Ok(if realized { vec![d] } else { Vec::new() })
-        }
-    }
+    let delta: Vec<i128> = (delta.into_iter().collect::<Option<_>>())
+        .ok_or_else(|| "the rows do not pin every variable".to_owned())?;
+    let Some(&lead) = delta.iter().find(|&&x| x != 0) else {
+        return Ok(Vec::new()); // the only conflict is intra-iteration
+    };
+    // Lexicographically normalized; one beyond `i64` spans more than the
+    // box, so no pair of points realizes it.
+    let d = delta.iter().map(|&x| i64::try_from(x * lead.signum()));
+    let Ok(d) = d.collect::<Result<Vec<i64>, _>>() else {
+        return Ok(Vec::new());
+    };
+    let realized = dom.points().any(|p| dom.find(p, &d).is_some());
+    Ok(if realized { vec![d] } else { Vec::new() })
 }
 
-fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -978,14 +1073,14 @@ fn rescreen(rows_a: &[CertExpr], rows_b: &[CertExpr], bx: &[(i64, i64)]) -> bool
     for (ea, eb) in rows_a.iter().zip(rows_b) {
         let mut g = 0;
         for &c in ea.coeffs.iter().chain(&eb.coeffs) {
-            g = gcd(g, c);
+            g = gcd(g, c.unsigned_abs());
         }
-        let gap = eb.constant - ea.constant;
+        let gap = i128::from(eb.constant) - i128::from(ea.constant);
         if g == 0 {
             if gap != 0 {
                 return true;
             }
-        } else if gap.rem_euclid(g) != 0 {
+        } else if gap.rem_euclid(i128::from(g)) != 0 {
             return true;
         }
         let (alo, ahi) = expr_range(ea, bx);
@@ -1027,9 +1122,9 @@ fn check_against_candidates(
         ));
     }
     for c in cands.difference(&claimed) {
-        let hit = dom.points.iter().find(|pt| {
-            let q = dom.shifted(pt, c);
-            dom.contains(&q) && (realized(pt, &q) || realized(&q, pt))
+        let hit = dom.points().find(|&pt| {
+            dom.find(pt, c)
+                .is_some_and(|j| realized(pt, dom.point(j)) || realized(dom.point(j), pt))
         });
         if let Some(pt) = hit {
             return Err(reject(
@@ -1044,58 +1139,74 @@ fn check_against_candidates(
     Ok(())
 }
 
-struct PairOutcome {
-    uses_index_facts: bool,
-    enumerated: bool,
-    exact: bool,
-}
-
+/// Rechecks one pair by its method; `Ok(false)` when the exact
+/// re-derivation was over the work cap and candidate sets were trusted.
 #[allow(clippy::too_many_lines)]
-fn check_pair(cert: &Certificate, dom: &Domain, p: &CertPair) -> Result<PairOutcome, Rejection> {
+fn check_pair(
+    cert: &Certificate,
+    dom: &Domain,
+    bx: &[(i64, i64)],
+    repeat: &dyn Fn(usize) -> Option<u64>,
+    p: &CertPair,
+) -> Result<bool, Rejection> {
     let label = format!("pair ({}, {})", p.ref_a, p.ref_b);
-    let ra = &cert.refs[p.ref_a];
-    let rb = &cert.refs[p.ref_b];
+    let (ra, rb) = (&cert.refs[p.ref_a], &cert.refs[p.ref_b]);
     let claimed = distances_set(&p.distances);
-    let bx = exact_box(&dom.points, cert.depth);
-    let mut outcome = PairOutcome {
-        uses_index_facts: false,
-        enumerated: false,
-        exact: true,
-    };
     let method_fail = |what: String| reject(RejectCode::Recheck, format!("{label}: {what}"));
-    // Methods other than `enumerated` reason over unclamped subscripts and
-    // therefore require the references in bounds (as the analyzer did).
-    let symbolic_prereqs = |cert: &Certificate| -> Result<Vec<(i64, i64)>, Rejection> {
-        let bx = bx
-            .clone()
-            .ok_or_else(|| method_fail("symbolic disposition over an empty domain".to_owned()))?;
-        require_in_bounds(cert, ra, p.ref_a, &bx)?;
-        require_in_bounds(cert, rb, p.ref_b, &bx)?;
-        Ok(bx)
+    let disagree = |derived: &BTreeSet<Vec<i64>>, with: &str| {
+        method_fail(format!(
+            "claimed distances {:?} disagree with the {with} ({} distance(s))",
+            p.distances,
+            derived.len()
+        ))
     };
-    let affine_rows = |r: &CertRef, which: usize| -> Result<Vec<CertExpr>, Rejection> {
-        match &r.subscript {
-            CertSubscript::Affine(rows) => Ok(rows.clone()),
-            CertSubscript::Indirect { .. } => Err(method_fail(format!(
-                "method `{}` needs an affine reference {which}",
-                p.method
-            ))),
+    // The screens, which must claim no distances.
+    let screen = match p.method.as_str() {
+        "screened" => Some("a screened pair"),
+        "index-range" => Some("a range-screened pair"),
+        "index-banded" => Some("a band-screened pair"),
+        "uniform" | "symbolic" | "index-injective" | "enumerated" => None,
+        other => {
+            return Err(reject(
+                RejectCode::Malformed,
+                format!("{label}: unknown disposition method `{other}`"),
+            ))
         }
+    };
+    let (enumerated, mut exact) = (p.method == "enumerated", true);
+    if !enumerated {
+        if let Some(what) = screen.filter(|_| !claimed.is_empty()) {
+            return Err(method_fail(format!("{what} must claim no distances")));
+        }
+        if dom.coords.is_empty() {
+            if !claimed.is_empty() {
+                return Err(method_fail(
+                    "distances claimed over an empty domain".to_owned(),
+                ));
+            }
+            return Ok(exact);
+        }
+        // Methods other than `enumerated` reason over unclamped subscripts and
+        // therefore require the references in bounds (as the analyzer did).
+        require_in_bounds(cert, ra, p.ref_a, bx)?;
+        require_in_bounds(cert, rb, p.ref_b, bx)?;
+    }
+    let affine_rows = |which: usize| match &cert.refs[which].subscript {
+        CertSubscript::Affine(rows) => Ok(&rows[..]),
+        CertSubscript::Indirect { .. } => Err(method_fail(format!(
+            "method `{}` needs an affine reference {which}",
+            p.method
+        ))),
+    };
+    let indirect = |which: usize| match &cert.refs[which].subscript {
+        CertSubscript::Indirect { selector, table } => Ok((selector, *table)),
+        CertSubscript::Affine(_) => Err(method_fail(
+            "injective reduction needs indirect references".to_owned(),
+        )),
     };
     match p.method.as_str() {
         "uniform" => {
-            if dom.points.is_empty() {
-                if !claimed.is_empty() {
-                    return Err(method_fail(
-                        "distances claimed over an empty domain".to_owned(),
-                    ));
-                }
-                return Ok(outcome);
-            }
-            symbolic_prereqs(cert)?;
-            let rows_a = affine_rows(ra, p.ref_a)?;
-            let rows_b = affine_rows(rb, p.ref_b)?;
-            let expected = expected_uniform(cert, dom, &rows_a, &rows_b)
+            let expected = expected_uniform(dom, affine_rows(p.ref_a)?, affine_rows(p.ref_b)?)
                 .map_err(|e| method_fail(format!("pair is not uniformly generated: {e}")))?;
             if claimed != distances_set(&expected) {
                 return Err(method_fail(format!(
@@ -1105,79 +1216,19 @@ fn check_pair(cert: &Certificate, dom: &Domain, p: &CertPair) -> Result<PairOutc
             }
         }
         "screened" => {
-            if !claimed.is_empty() {
-                return Err(method_fail(
-                    "a screened pair must claim no distances".to_owned(),
-                ));
-            }
-            if dom.points.is_empty() {
-                return Ok(outcome);
-            }
-            let bx = symbolic_prereqs(cert)?;
-            let rows_a = affine_rows(ra, p.ref_a)?;
-            let rows_b = affine_rows(rb, p.ref_b)?;
-            if !rescreen(&rows_a, &rows_b, &bx) {
+            let independent = rescreen(affine_rows(p.ref_a)?, affine_rows(p.ref_b)?, bx);
+            if !independent {
                 return Err(method_fail(
                     "neither the GCD nor the bounds screen re-proves independence".to_owned(),
                 ));
             }
         }
-        "symbolic" => {
-            if dom.points.is_empty() {
-                if !claimed.is_empty() {
-                    return Err(method_fail(
-                        "distances claimed over an empty domain".to_owned(),
-                    ));
-                }
-                return Ok(outcome);
-            }
-            symbolic_prereqs(cert)?;
-            let rows_a = affine_rows(ra, p.ref_a)?;
-            let rows_b = affine_rows(rb, p.ref_b)?;
-            let exact = exact_distances_by_key(
-                &dom.points,
-                |pt| affine_key(&rows_a, pt),
-                |pt| affine_key(&rows_b, pt),
-            );
-            match exact {
-                Some(derived) => {
-                    if claimed != derived {
-                        return Err(method_fail(format!(
-                            "claimed distances {:?} disagree with the exact conflict \
-                             re-derivation ({} distance(s))",
-                            p.distances,
-                            derived.len()
-                        )));
-                    }
-                }
-                None => {
-                    outcome.exact = false;
-                    check_against_candidates(dom, p, |s, t| {
-                        affine_key(&rows_a, s) == affine_key(&rows_b, t)
-                    })?;
-                }
-            }
-        }
         "index-range" => {
-            if !claimed.is_empty() {
-                return Err(method_fail(
-                    "a range-screened pair must claim no distances".to_owned(),
-                ));
-            }
-            outcome.uses_index_facts = true;
-            if dom.points.is_empty() {
-                return Ok(outcome);
-            }
-            symbolic_prereqs(cert)?;
             let side_range = |r: &CertRef| -> Result<(u64, u64), Rejection> {
-                let mut lo = u64::MAX;
-                let mut hi = 0;
-                for pt in &dom.points {
+                dom.points().try_fold((u64::MAX, 0), |(lo, hi), pt| {
                     let e = concrete_element(cert, r, pt)?;
-                    lo = lo.min(e);
-                    hi = hi.max(e);
-                }
-                Ok((lo, hi))
+                    Ok((lo.min(e), hi.max(e)))
+                })
             };
             let (alo, ahi) = side_range(ra)?;
             let (blo, bhi) = side_range(rb)?;
@@ -1187,77 +1238,42 @@ fn check_pair(cert: &Certificate, dom: &Domain, p: &CertPair) -> Result<PairOutc
                 )));
             }
         }
-        "index-injective" => {
-            outcome.uses_index_facts = true;
-            if dom.points.is_empty() {
-                if !claimed.is_empty() {
+        "symbolic" | "index-injective" => {
+            // Conflicts are equal subscript rows, or equal selectors into an injective table.
+            let (rows_a, rows_b, what) = if p.method == "symbolic" {
+                let rows = (affine_rows(p.ref_a)?, affine_rows(p.ref_b)?);
+                (rows.0, rows.1, "exact conflict re-derivation")
+            } else {
+                let (sel_a, tbl_a) = indirect(p.ref_a)?;
+                let (sel_b, tbl_b) = indirect(p.ref_b)?;
+                if cert.tables[tbl_a].values != cert.tables[tbl_b].values {
                     return Err(method_fail(
-                        "distances claimed over an empty domain".to_owned(),
+                        "injective reduction needs the same table on both sides".to_owned(),
                     ));
                 }
-                return Ok(outcome);
-            }
-            symbolic_prereqs(cert)?;
-            let (sel_a, tbl_a) = match &ra.subscript {
-                CertSubscript::Indirect { selector, table } => (selector, *table),
-                CertSubscript::Affine(_) => {
-                    return Err(method_fail(
-                        "injective reduction needs indirect references".to_owned(),
-                    ))
-                }
-            };
-            let (sel_b, tbl_b) = match &rb.subscript {
-                CertSubscript::Indirect { selector, table } => (selector, *table),
-                CertSubscript::Affine(_) => {
-                    return Err(method_fail(
-                        "injective reduction needs indirect references".to_owned(),
-                    ))
-                }
-            };
-            if cert.tables[tbl_a].values != cert.tables[tbl_b].values {
-                return Err(method_fail(
-                    "injective reduction needs the same table on both sides".to_owned(),
-                ));
-            }
-            // Verify injectivity directly (the reduction's premise).
-            let mut seen: BTreeSet<u64> = BTreeSet::new();
-            for &v in &cert.tables[tbl_a].values {
-                if !seen.insert(v) {
+                // Verify injectivity directly (the reduction's premise).
+                if let Some(v) = repeat(tbl_a) {
                     return Err(method_fail(format!(
                         "the shared table is not injective (value {v} repeats)"
                     )));
                 }
-            }
-            let exact =
-                exact_distances_by_key(&dom.points, |pt| sel_a.eval(pt), |pt| sel_b.eval(pt));
-            match exact {
-                Some(derived) => {
-                    if claimed != derived {
-                        return Err(method_fail(format!(
-                            "claimed distances {:?} disagree with the exact \
-                             selector-conflict re-derivation ({} distance(s))",
-                            p.distances,
-                            derived.len()
-                        )));
-                    }
-                }
+                let rows = (std::slice::from_ref(sel_a), std::slice::from_ref(sel_b));
+                (rows.0, rows.1, "exact selector-conflict re-derivation")
+            };
+            let key_a = |pt: &[i64], r: usize| rows_a[r].eval(pt);
+            let key_b = |pt: &[i64], r: usize| rows_b[r].eval(pt);
+            match exact_distances(dom, bx, rows_a.len(), key_a, key_b) {
+                Some(derived) if claimed != derived => return Err(disagree(&derived, what)),
+                Some(_) => {}
                 None => {
-                    outcome.exact = false;
-                    check_against_candidates(dom, p, |s, t| sel_a.eval(s) == sel_b.eval(t))?;
+                    exact = false;
+                    check_against_candidates(dom, p, |s, t| {
+                        (0..rows_a.len()).all(|r| key_a(s, r) == key_b(t, r))
+                    })?;
                 }
             }
         }
         "index-banded" => {
-            if !claimed.is_empty() {
-                return Err(method_fail(
-                    "a band-screened pair must claim no distances".to_owned(),
-                ));
-            }
-            outcome.uses_index_facts = true;
-            if dom.points.is_empty() {
-                return Ok(outcome);
-            }
-            symbolic_prereqs(cert)?;
             // Both sides must have a band: affine rows are band 0, indirect
             // sides need a (tightness-checked) band claim.
             for (r, which) in [(ra, p.ref_a), (rb, p.ref_b)] {
@@ -1269,53 +1285,39 @@ fn check_pair(cert: &Certificate, dom: &Domain, p: &CertPair) -> Result<PairOutc
                     }
                 }
             }
-            // The concrete tables travel with the certificate, so the
-            // banded emptiness claim is rechecked exactly when affordable.
-            let exact = exact_distances_by_key(
-                &dom.points,
-                |pt| concrete_element(cert, ra, pt).unwrap_or(u64::MAX),
-                |pt| concrete_element(cert, rb, pt).unwrap_or(u64::MAX),
-            );
-            match exact {
-                Some(derived) => {
-                    if let Some(d) = derived.first() {
-                        return Err(method_fail(format!(
-                            "band-screened pair has a concrete conflict at distance {d:?}"
-                        )));
-                    }
-                }
-                None => outcome.exact = false,
-            }
         }
-        "enumerated" => {
-            outcome.enumerated = true;
-            let derived = exact_distances_by_key(
-                &dom.points,
-                |pt| (ra.array, concrete_element(cert, ra, pt).unwrap_or(u64::MAX)),
-                |pt| (rb.array, concrete_element(cert, rb, pt).unwrap_or(u64::MAX)),
-            );
-            let Some(derived) = derived else {
+        _ => {}
+    }
+    if p.method == "index-banded" || enumerated {
+        // Conflicts are equal concrete elements: the pair set holds only
+        // pairs on one array. The concrete tables travel with the
+        // certificate, so the banded emptiness claim is rechecked exactly
+        // when affordable.
+        let element = |r: &CertRef, pt: &[i64]| {
+            concrete_element(cert, r, pt).map_or(i128::from(u64::MAX), i128::from)
+        };
+        let derived = exact_distances(dom, bx, 1, |pt, _| element(ra, pt), |pt, _| element(rb, pt));
+        match derived {
+            None if enumerated => {
                 return Err(method_fail(
                     "concrete re-enumeration exceeds the checker's work cap".to_owned(),
                 ));
-            };
-            if claimed != derived {
-                return Err(method_fail(format!(
-                    "claimed distances {:?} disagree with the concrete re-enumeration \
-                     ({} distance(s))",
-                    p.distances,
-                    derived.len()
-                )));
             }
-        }
-        other => {
-            return Err(reject(
-                RejectCode::Malformed,
-                format!("{label}: unknown disposition method `{other}`"),
-            ))
+            None => exact = false,
+            Some(derived) if !enumerated => {
+                if let Some(d) = derived.first() {
+                    return Err(method_fail(format!(
+                        "band-screened pair has a concrete conflict at distance {d:?}"
+                    )));
+                }
+            }
+            Some(derived) if claimed != derived => {
+                return Err(disagree(&derived, "concrete re-enumeration"));
+            }
+            Some(_) => {}
         }
     }
-    Ok(outcome)
+    Ok(exact)
 }
 
 /// Mirrors the verifier's symbolic race proof: for every unit and every
@@ -1328,33 +1330,29 @@ fn check_symbolic_races(
     placement: &Placement,
 ) -> Result<(), Rejection> {
     let prefix = cert.unit_prefix;
-    let deltas: BTreeSet<Vec<i64>> = cert
+    let deltas: BTreeSet<&[i64]> = cert
         .distances
         .iter()
-        .map(|d| d[..prefix].to_vec())
+        .map(|d| &d[..prefix])
         .filter(|d| d.iter().any(|&x| x != 0))
         .collect();
     if deltas.is_empty() {
         return Ok(());
     }
-    let mut unit_at: HashMap<&[i64], usize> = HashMap::with_capacity(units.len());
-    for (u, &(start, _)) in units.iter().enumerate() {
-        unit_at.insert(&dom.points[start][..prefix], u);
-    }
+    // Units are the distinct prefixes in lexicographic order, so a prefix
+    // cell's rank is its unit id.
+    let starts = units.iter().map(|&(start, _)| &dom.point(start)[..prefix]);
+    let unit_at = Cells::new(&dom.cells.lo[..prefix], &dom.cells.ext[..prefix], starts);
     let placed = |u: usize| {
         let g = placement.group_of[u];
         (placement.group_pos[g].0, placement.group_pos[g].1)
     };
-    let mut target = vec![0i64; prefix];
     for (u, &(start, _)) in units.iter().enumerate() {
         let (round, core) = placed(u);
-        let p = &dom.points[start][..prefix];
+        let p = &dom.point(start)[..prefix];
         for delta in &deltas {
-            for sign in [1i64, -1] {
-                for (t, (&pv, &dv)) in target.iter_mut().zip(p.iter().zip(delta)) {
-                    *t = pv + sign * dv;
-                }
-                let Some(&v) = unit_at.get(target.as_slice()) else {
+            for sign in [1, -1] {
+                let Some(v) = unit_at.find(p, delta, sign) else {
                     continue;
                 };
                 let (r2, c2) = placed(v);
@@ -1391,11 +1389,10 @@ fn check_dependence_order(
     if cross.is_empty() {
         return Ok(());
     }
-    for (i, p) in dom.points.iter().enumerate() {
+    for (i, p) in dom.points().enumerate() {
         let ga = placement.group_of[unit_of[i]];
         for d in &cross {
-            let q = dom.shifted(p, d);
-            let Some(&j) = dom.index.get(&q) else {
+            let Some(j) = dom.find(p, d) else {
                 continue;
             };
             let gb = placement.group_of[unit_of[j]];
@@ -1431,9 +1428,9 @@ fn check_element_races(
     for g in &cert.schedule {
         for &u in &g.units {
             let (start, len) = units[u];
-            for p in &dom.points[start..start + len] {
+            for i in start..start + len {
                 for (ridx, r) in cert.refs.iter().enumerate() {
-                    let elem = concrete_element(cert, r, p)?;
+                    let elem = concrete_element(cert, r, dom.point(i))?;
                     let entry = seen
                         .entry((g.round, r.array, elem))
                         .or_insert((g.core, false));
@@ -1465,29 +1462,31 @@ pub fn check_certificate(cert: &Certificate) -> Result<CheckStats, Rejection> {
     let dom = enumerate_domain(cert)?;
     let (unit_of, units) = recount_units(cert, &dom);
     let placement = check_coverage(cert, &units)?;
+    let repeats = vec![OnceCell::new(); cert.tables.len()];
+    let repeat = |t: usize| *repeats[t].get_or_init(|| first_repeat(&cert.tables[t].values));
     for (i, t) in cert.tables.iter().enumerate() {
-        check_table(i, t)?;
+        check_table(i, t, t.facts.injective.then(|| repeat(i)).flatten())?;
     }
     check_pair_set(cert)?;
 
     let mut stats = CheckStats {
-        n_points: dom.points.len(),
+        n_points: dom.points().len(),
         n_units: units.len(),
         n_pairs: cert.pairs.len(),
         ..CheckStats::default()
     };
+    let bx = exact_box(&dom).unwrap_or_default();
     let mut merged: BTreeSet<Vec<i64>> = BTreeSet::new();
     let mut any_index_facts = false;
     let mut any_enumerated = false;
     for p in &cert.pairs {
         check_distance_shapes(cert, p)?;
         stats.n_witnesses += check_witnesses(cert, &dom, p)?;
-        let outcome = check_pair(cert, &dom, p)?;
-        any_index_facts |= outcome.uses_index_facts;
-        any_enumerated |= outcome.enumerated;
-        if outcome.exact {
+        if check_pair(cert, &dom, &bx, &repeat, p)? {
             stats.n_exact_rederivations += 1;
         }
+        any_index_facts |= p.method.starts_with("index-");
+        any_enumerated |= p.method == "enumerated";
         merged.extend(p.distances.iter().cloned());
     }
     if merged != distances_set(&cert.distances) {
@@ -1685,6 +1684,180 @@ mod tests {
             check_certificate(&c).unwrap_err().code,
             RejectCode::Malformed
         );
+    }
+
+    #[test]
+    fn witness_endpoints_are_computed_exactly() {
+        let mut c = chain(9);
+        c.pairs[1].witnesses[0].0 = vec![i64::MAX];
+        let r = check_certificate(&c).unwrap_err();
+        assert_eq!(r.code, RejectCode::Witness);
+        assert_eq!(
+            r.detail,
+            "pair (0, 1): witness endpoint [9223372036854775808] is outside the iteration domain"
+        );
+    }
+
+    #[test]
+    fn subscripts_are_evaluated_exactly() {
+        // `A[i64::MAX · i − 1]` clamps to the last element at every point.
+        let mut c = chain(9);
+        c.refs[1].subscript = CertSubscript::Affine(vec![expr(vec![i64::MAX], -1)]);
+        c.pairs[1].method = "enumerated".to_owned();
+        c.pairs[1].witnesses.clear();
+        let r = check_certificate(&c).unwrap_err();
+        assert_eq!(r.code, RejectCode::Recheck);
+        assert_eq!(
+            r.detail,
+            "pair (0, 1): claimed distances [[1]] disagree with the concrete \
+             re-enumeration (7 distance(s))"
+        );
+    }
+
+    #[test]
+    fn screens_take_coefficients_of_any_magnitude() {
+        // `A[i + i64::MIN · j]` over `j = 0`: in bounds, and the GCD of its
+        // coefficients is 1.
+        let mut c = chain(9);
+        c.depth = 2;
+        c.unit_prefix = 2;
+        for row in &mut c.domain {
+            row.coeffs.push(0);
+        }
+        let pin = |x: i64| CertConstraint {
+            coeffs: vec![0, x],
+            constant: 0,
+            eq: false,
+        };
+        c.domain.extend([pin(1), pin(-1)]);
+        for r in &mut c.refs {
+            let CertSubscript::Affine(rows) = &mut r.subscript else {
+                unreachable!()
+            };
+            rows[0].coeffs.push(i64::MIN);
+        }
+        for p in &mut c.pairs {
+            p.method = "screened".to_owned();
+            p.distances.clear();
+            p.witnesses.clear();
+        }
+        let r = check_certificate(&c).unwrap_err();
+        assert_eq!(r.code, RejectCode::Recheck);
+        assert_eq!(
+            r.detail,
+            "pair (0, 0): neither the GCD nor the bounds screen re-proves independence"
+        );
+    }
+
+    #[test]
+    fn uniform_distances_are_derived_exactly() {
+        // `A[i - 8]` against `A[i + i64::MAX]` at `i = 8`: their distance,
+        // 2^63 + 7, fits no `i64`, and no two points realize it.
+        let mut c = chain(9);
+        c.domain[0].constant = -8;
+        c.arrays[0].dims = vec![u64::MAX];
+        c.refs[0].subscript = CertSubscript::Affine(vec![expr(vec![1], -8)]);
+        c.refs[1].subscript = CertSubscript::Affine(vec![expr(vec![1], i64::MAX)]);
+        c.n_units = 1;
+        c.unit_sizes = vec![1];
+        c.schedule.truncate(1);
+        c.schedule[0].units = vec![0];
+        c.distances.clear();
+        c.pairs[1].distances.clear();
+        c.pairs[1].witnesses.clear();
+        let stats = check_certificate(&c).unwrap();
+        assert_eq!((stats.n_points, stats.n_exact_rederivations), (1, 2));
+    }
+
+    #[test]
+    fn box_volumes_past_u128_are_refused() {
+        // Three variables of 2^43 values each: 2^129 cells.
+        let mut c = chain(9);
+        c.depth = 3;
+        c.unit_prefix = 3;
+        c.domain = (0..3)
+            .flat_map(|v| {
+                let unit = |x: i64| (0..3).map(|u| if u == v { x } else { 0 }).collect();
+                [(unit(1), 0), (unit(-1), (1 << 43) - 1)]
+            })
+            .map(|(coeffs, constant)| CertConstraint {
+                coeffs,
+                constant,
+                eq: false,
+            })
+            .collect();
+        for r in &mut c.refs {
+            let CertSubscript::Affine(rows) = &mut r.subscript else {
+                unreachable!()
+            };
+            rows[0].coeffs = vec![1, 0, 0];
+        }
+        let r = check_certificate(&c).unwrap_err();
+        assert_eq!(r.code, RejectCode::Malformed);
+        assert_eq!(
+            r.detail,
+            "domain box holds over 2^128 points, over the checker's cap"
+        );
+    }
+
+    /// `A[t[i]]` written over `i` in `0..4` with `t = [3, 1, 3, 1]`, whose
+    /// first repeat in table order (3) is not its smallest repeated value.
+    fn gather_with_repeats() -> Certificate {
+        let mut c = chain(4);
+        c.domain[0].constant = 0;
+        c.refs = vec![crate::model::CertRef {
+            array: 0,
+            write: true,
+            subscript: CertSubscript::Indirect {
+                selector: expr(vec![1], 0),
+                table: 0,
+            },
+        }];
+        c.n_units = 4;
+        c.unit_sizes = vec![1; 4];
+        c.schedule = vec![CertGroup {
+            round: 0,
+            core: 0,
+            units: vec![0, 1, 2, 3],
+        }];
+        c.distances = vec![];
+        c.pairs = vec![CertPair {
+            ref_a: 0,
+            ref_b: 0,
+            method: "index-injective".to_owned(),
+            distances: vec![],
+            candidates: vec![],
+            witnesses: vec![],
+        }];
+        c.tables = vec![crate::model::CertTable {
+            values: vec![3, 1, 3, 1],
+            facts: CertFacts {
+                len: 4,
+                range: None,
+                nondecreasing: false,
+                strictly_increasing: false,
+                injective: false,
+                permutation: false,
+                band: None,
+            },
+        }];
+        c.verdict = Verdict::IndexFactProof;
+        c
+    }
+
+    #[test]
+    fn injectivity_reports_the_first_repeat_in_table_order() {
+        let mut c = gather_with_repeats();
+        let r = check_certificate(&c).unwrap_err();
+        assert_eq!(r.code, RejectCode::Recheck);
+        assert_eq!(
+            r.detail,
+            "pair (0, 0): the shared table is not injective (value 3 repeats)"
+        );
+        c.tables[0].facts.injective = true;
+        let r = check_certificate(&c).unwrap_err();
+        assert_eq!(r.code, RejectCode::IndexFacts);
+        assert_eq!(r.detail, "table 0: claimed injective but value 3 repeats");
     }
 
     #[test]

@@ -38,15 +38,16 @@ pub struct CertExpr {
 }
 
 impl CertExpr {
-    /// Evaluates the expression at a point.
-    pub fn eval(&self, point: &[i64]) -> i64 {
-        self.constant
+    /// Evaluates the expression at a point, in `i128` so that a product of
+    /// an `i64` coefficient and an `i64` coordinate is exact.
+    pub fn eval(&self, point: &[i64]) -> i128 {
+        i128::from(self.constant)
             + self
                 .coeffs
                 .iter()
                 .zip(point)
-                .map(|(c, x)| c * x)
-                .sum::<i64>()
+                .map(|(&c, &x)| i128::from(c) * i128::from(x))
+                .sum::<i128>()
     }
 }
 
