@@ -289,6 +289,33 @@ fn cert_cost(c: &mut Criterion) {
             },
         );
     }
+    // Decoding alone, on the `certify` mix's two largest certificates
+    // (PCOT at Small on Dunnington: 0.28 and 0.24 MB).
+    for name in ["namd", "mesa"] {
+        let w = by_name(name, SizeClass::Small).expect("known app");
+        let json = w
+            .program
+            .nests()
+            .map(|(nest, _)| {
+                let m = map_nest(&w.program, nest, &machine, Strategy::Pcot, &params)
+                    .expect("mapping succeeds");
+                ctam::verify::certificate_for(&w.program, &machine, &m).to_json()
+            })
+            .max_by_key(String::len)
+            .expect("the app has a nest");
+        group.bench_with_input(BenchmarkId::new("decode", w.name), &json, |b, json| {
+            b.iter(|| ctam_cert::Certificate::from_json(json).expect("certificate decodes"));
+        });
+    }
+    // The verifier, race proof included, on the stress nest with the most
+    // dependence directions (187 at Small).
+    let w = stress::coupled_diagonal(SizeClass::Small);
+    let (nest, _) = w.program.nests().next().expect("one nest");
+    let m =
+        map_nest(&w.program, nest, &machine, Strategy::Pcot, &params).expect("mapping succeeds");
+    group.bench_with_input(BenchmarkId::new("verify", w.name), &m, |b, m| {
+        b.iter(|| ctam::verify::verify_mapping(&w.program, &machine, m, &m.schedule));
+    });
     group.finish();
 }
 

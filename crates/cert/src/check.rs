@@ -21,7 +21,9 @@ use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 
-use crate::model::{CertExpr, CertPair, CertRef, CertSubscript, CertTable, Certificate, Verdict};
+use crate::model::{
+    affine_value, CertExpr, CertPair, CertRef, CertSubscript, CertTable, Certificate, Verdict,
+};
 
 /// Hard cap on the number of enumerated iteration points (the checker
 /// refuses domains it cannot afford to enumerate instead of guessing).
@@ -230,16 +232,19 @@ impl Domain {
     }
 }
 
-fn satisfies(cert: &Certificate, p: &[i64]) -> bool {
-    cert.domain.iter().all(|c| {
-        let terms = c
-            .coeffs
-            .iter()
-            .zip(p)
-            .map(|(&a, &x)| i128::from(a) * i128::from(x));
-        let v = i128::from(c.constant) + terms.sum::<i128>();
-        v == 0 || (!c.eq && v > 0)
-    })
+fn satisfies(cert: &Certificate, p: &[i64]) -> Result<bool, Rejection> {
+    for (i, c) in cert.domain.iter().enumerate() {
+        let Some(v) = affine_value(&c.coeffs, c.constant, p) else {
+            return Err(reject(
+                RejectCode::Malformed,
+                format!("domain constraint {i} overflows 128 bits at {p:?}"),
+            ));
+        };
+        if !(v == 0 || (!c.eq && v > 0)) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 fn enumerate_domain(cert: &Certificate) -> Result<Domain, Rejection> {
@@ -350,7 +355,7 @@ fn enumerate_domain(cert: &Certificate) -> Result<Domain, Rejection> {
     // Odometer over the box in lexicographic order.
     let (mut coords, mut cur) = (Vec::new(), box_lo.clone());
     for _ in 0..volume {
-        if satisfies(cert, &cur) {
+        if satisfies(cert, &cur)? {
             coords.extend_from_slice(&cur);
         }
         for d in (0..depth).rev() {
@@ -380,12 +385,20 @@ fn enumerate_domain(cert: &Certificate) -> Result<Domain, Rejection> {
 /// clamp (affine) and wrap (indirect) semantics.
 fn concrete_element(cert: &Certificate, r: &CertRef, point: &[i64]) -> Result<u64, Rejection> {
     let dims = &cert.arrays[r.array].dims;
+    let eval = |e: &CertExpr| {
+        e.eval(point).ok_or_else(|| {
+            let name = &cert.arrays[r.array].name;
+            let what = format!("a subscript of `{name}` overflows 128 bits at {point:?}");
+            reject(RejectCode::Malformed, what)
+        })
+    };
     match &r.subscript {
+        // `check_shapes` bounds the element count, so `flat` fits.
         CertSubscript::Affine(rows) => {
             let mut flat: u64 = 0;
             for (d, row) in rows.iter().enumerate() {
                 let extent = dims[d];
-                let clamped = row.eval(point).clamp(0, i128::from(extent) - 1) as u64;
+                let clamped = eval(row)?.clamp(0, i128::from(extent) - 1) as u64;
                 flat = flat * extent + clamped;
             }
             Ok(flat)
@@ -408,7 +421,7 @@ fn concrete_element(cert: &Certificate, r: &CertRef, point: &[i64]) -> Result<u6
                     format!("array `{}` has a zero extent", cert.arrays[r.array].name),
                 ));
             }
-            let sel = selector.eval(point).rem_euclid(t.values.len() as i128);
+            let sel = eval(selector)?.rem_euclid(t.values.len() as i128);
             Ok(t.values[sel as usize] % n_elements)
         }
     }
@@ -425,20 +438,18 @@ fn exact_box(dom: &Domain) -> Option<Vec<(i64, i64)>> {
     Some(bx)
 }
 
-fn expr_range(e: &CertExpr, bx: &[(i64, i64)]) -> (i128, i128) {
-    let mut lo = i128::from(e.constant);
-    let mut hi = lo;
-    for (v, &(blo, bhi)) in bx.iter().enumerate() {
-        let c = i128::from(e.coeffs[v]);
-        if c > 0 {
-            lo += c * i128::from(blo);
-            hi += c * i128::from(bhi);
-        } else if c < 0 {
-            lo += c * i128::from(bhi);
-            hi += c * i128::from(blo);
-        }
+/// The range of `e` over the box, or `None` when a partial sum, constant
+/// first, leaves `i128`. Every point of the box then evaluates `e` with
+/// partial sums inside these, so [`CertExpr::eval`] is exact there.
+fn expr_range(e: &CertExpr, bx: &[(i64, i64)]) -> Option<(i128, i128)> {
+    let (mut lo, mut hi) = (i128::from(e.constant), i128::from(e.constant));
+    for (&c, &(blo, bhi)) in e.coeffs.iter().zip(bx) {
+        let c = i128::from(c);
+        let (at_lo, at_hi) = (c * i128::from(blo), c * i128::from(bhi));
+        lo = lo.checked_add(at_lo.min(at_hi))?;
+        hi = hi.checked_add(at_lo.max(at_hi))?;
     }
-    (lo, hi)
+    Some((lo, hi))
 }
 
 /// Requires a symbolically-modelled reference to be in bounds over the exact
@@ -452,10 +463,16 @@ fn require_in_bounds(
     bx: &[(i64, i64)],
 ) -> Result<(), Rejection> {
     let arr = &cert.arrays[r.array];
+    let range = |e: &CertExpr, what: String| {
+        expr_range(e, bx).ok_or_else(|| {
+            let what = format!("reference {ridx} {what} overflows 128 bits over the domain box");
+            reject(RejectCode::Structure, what)
+        })
+    };
     match &r.subscript {
         CertSubscript::Affine(rows) => {
             for (d, row) in rows.iter().enumerate() {
-                let (lo, hi) = expr_range(row, bx);
+                let (lo, hi) = range(row, format!("row {d}"))?;
                 if lo < 0 || hi >= i128::from(arr.dims[d]) {
                     return Err(reject(
                         RejectCode::Structure,
@@ -469,7 +486,7 @@ fn require_in_bounds(
         }
         CertSubscript::Indirect { selector, table } => {
             let t = &cert.tables[*table];
-            let (lo, hi) = expr_range(selector, bx);
+            let (lo, hi) = range(selector, "selector".to_owned())?;
             if lo < 0 || hi >= t.values.len() as i128 {
                 return Err(reject(
                     RejectCode::Structure,
@@ -507,29 +524,37 @@ fn sorted_keys(keys: &[i128], width: usize) -> Vec<(&[i128], usize)> {
     sorted
 }
 
+/// A key function of [`exact_distances`]: row `r` of a point's key.
+type Key<'a> = &'a dyn Fn(&[i64], usize) -> i128;
+
 /// Exact set of lexicographically normalized non-zero distances `q - p` over
 /// the point pairs whose `width`-row keys agree, `key_a(p, row) == key_b(q,
 /// row)`, or `None` when the pairwise work plus the distance bitmap's bits
-/// exceed [`WORK_CAP`].
+/// exceed [`WORK_CAP`]. `key_b` is `None` when it is `key_a`.
 ///
 /// Each side is sorted by key and its runs of equal keys are paired. A
 /// point's code is its offset in the exact box `bx` in mixed radix `2·span +
 /// 1` per variable, first variable most significant: a pair's normalized
 /// distance has code `|code(q) − code(p)|`, and code order is lex order.
+/// With one key the join is a self-join: a run visits each unordered pair
+/// once (code 0, `p == q`, is never read), though its work still counts
+/// the run's full product.
 fn exact_distances(
     dom: &Domain,
     bx: &[(i64, i64)],
     width: usize,
-    key_a: impl Fn(&[i64], usize) -> i128,
-    key_b: impl Fn(&[i64], usize) -> i128,
+    key_a: Key<'_>,
+    key_b: Option<Key<'_>>,
 ) -> Option<BTreeSet<Vec<i64>>> {
-    let keys = |key: &dyn Fn(&[i64], usize) -> i128| -> Vec<i128> {
+    let keys = |key: Key<'_>| -> Vec<i128> {
         dom.points()
             .flat_map(|p| (0..width).map(move |r| key(p, r)))
             .collect()
     };
-    let (keys_a, keys_b) = (keys(&key_a), keys(&key_b));
-    let (sa, sb) = (sorted_keys(&keys_a, width), sorted_keys(&keys_b, width));
+    let (keys_a, keys_b) = (keys(key_a), key_b.map(keys));
+    let sa = sorted_keys(&keys_a, width);
+    let sb = keys_b.as_deref().map(|k| sorted_keys(k, width));
+    let sb = sb.as_deref().unwrap_or(&sa);
     let mut runs = Vec::new();
     let (mut i, mut j, mut work) = (0, 0, 0u128);
     while i < sa.len() && j < sb.len() {
@@ -566,12 +591,15 @@ fn exact_distances(
     let codes = |side: &[(&[i128], usize)]| -> Vec<i64> {
         side.iter().map(|&(_, i)| code(dom.point(i))).collect()
     };
-    let (codes_a, codes_b) = (codes(&sa), codes(&sb));
+    let codes_a = codes(&sa);
+    let codes_b = key_b.map(|_| codes(sb));
+    let codes_b = codes_b.as_deref().unwrap_or(&codes_a);
     let mut seen = vec![0u64; (bits as usize + 1).div_ceil(64)];
     for (ra, rb) in runs {
         let run_b = &codes_b[rb];
-        for &x in &codes_a[ra] {
-            for &y in run_b {
+        for (k, &x) in codes_a[ra].iter().enumerate() {
+            let first = if key_b.is_some() { 0 } else { k + 1 };
+            for &y in &run_b[first..] {
                 let d = x.abs_diff(y) as usize;
                 seen[d / 64] |= 1 << (d % 64);
             }
@@ -712,6 +740,13 @@ fn check_shapes(cert: &Certificate) -> Result<(), Rejection> {
             return Err(reject(
                 RejectCode::Structure,
                 format!("array `{}` has zero-byte elements", a.name),
+            ));
+        }
+        let elements = a.dims.iter().try_fold(1u64, |n, &d| n.checked_mul(d));
+        if elements.is_none() {
+            return Err(reject(
+                RejectCode::Structure,
+                format!("array `{}` holds over 2^64 elements", a.name),
             ));
         }
     }
@@ -1083,10 +1118,11 @@ fn rescreen(rows_a: &[CertExpr], rows_b: &[CertExpr], bx: &[(i64, i64)]) -> bool
         } else if gap.rem_euclid(i128::from(g)) != 0 {
             return true;
         }
-        let (alo, ahi) = expr_range(ea, bx);
-        let (blo, bhi) = expr_range(eb, bx);
-        if ahi < blo || bhi < alo {
-            return true;
+        let ranges = (expr_range(ea, bx), expr_range(eb, bx));
+        if let (Some((alo, ahi)), Some((blo, bhi))) = ranges {
+            if ahi < blo || bhi < alo {
+                return true;
+            }
         }
     }
     false
@@ -1260,9 +1296,13 @@ fn check_pair(
                 let rows = (std::slice::from_ref(sel_a), std::slice::from_ref(sel_b));
                 (rows.0, rows.1, "exact selector-conflict re-derivation")
             };
-            let key_a = |pt: &[i64], r: usize| rows_a[r].eval(pt);
-            let key_b = |pt: &[i64], r: usize| rows_b[r].eval(pt);
-            match exact_distances(dom, bx, rows_a.len(), key_a, key_b) {
+            // Both references are in bounds over the box, so every point's
+            // rows evaluate exactly (see `expr_range`).
+            let exact_at = |e: &CertExpr, pt: &[i64]| e.eval(pt).expect("in bounds over the box");
+            let key_a = |pt: &[i64], r: usize| exact_at(&rows_a[r], pt);
+            let key_b = |pt: &[i64], r: usize| exact_at(&rows_b[r], pt);
+            let other = (rows_a != rows_b).then_some(&key_b as Key<'_>);
+            match exact_distances(dom, bx, rows_a.len(), &key_a, other) {
                 Some(derived) if claimed != derived => return Err(disagree(&derived, what)),
                 Some(_) => {}
                 None => {
@@ -1296,7 +1336,11 @@ fn check_pair(
         let element = |r: &CertRef, pt: &[i64]| {
             concrete_element(cert, r, pt).map_or(i128::from(u64::MAX), i128::from)
         };
-        let derived = exact_distances(dom, bx, 1, |pt, _| element(ra, pt), |pt, _| element(rb, pt));
+        let key_a = |pt: &[i64], _| element(ra, pt);
+        let key_b = |pt: &[i64], _| element(rb, pt);
+        let one_function = ra.array == rb.array && ra.subscript == rb.subscript;
+        let other = (!one_function).then_some(&key_b as Key<'_>);
+        let derived = exact_distances(dom, bx, 1, &key_a, other);
         match derived {
             None if enumerated => {
                 return Err(method_fail(
@@ -1798,6 +1842,144 @@ mod tests {
             r.detail,
             "domain box holds over 2^128 points, over the checker's cap"
         );
+    }
+
+    #[test]
+    fn arrays_past_64_bits_of_elements_are_refused() {
+        // `A[i + 2^39][i]` over a 2^40 × 2^40 array: its flat element
+        // index needs 80 bits.
+        let mut c = chain(9);
+        c.arrays[0].dims = vec![1 << 40, 1 << 40];
+        for r in &mut c.refs {
+            r.subscript = CertSubscript::Affine(vec![expr(vec![1], 1 << 39), expr(vec![1], 0)]);
+        }
+        c.pairs[1].method = "enumerated".to_owned();
+        c.pairs[1].witnesses.clear();
+        let r = check_certificate(&c).unwrap_err();
+        assert_eq!(r.code, RejectCode::Structure);
+        assert_eq!(r.detail, "array `A` holds over 2^64 elements");
+    }
+
+    /// The one point `(1 − 2^63, 1 − 2^63, 1 − 2^63)`, written by `A[e]`
+    /// and read by `A[0]`; the read and write are uniform pairs.
+    fn corner(e: CertExpr) -> Certificate {
+        let mut c = chain(9);
+        c.depth = 3;
+        c.unit_prefix = 3;
+        c.domain = (0..3)
+            .map(|v| CertConstraint {
+                coeffs: (0..3).map(|u| i64::from(u == v)).collect(),
+                constant: i64::MAX,
+                eq: true,
+            })
+            .collect();
+        c.refs[0].subscript = CertSubscript::Affine(vec![e]);
+        c.refs[1].subscript = CertSubscript::Affine(vec![expr(vec![0; 3], 0)]);
+        c.n_units = 1;
+        c.unit_sizes = vec![1];
+        c.schedule.truncate(1);
+        c.schedule[0].units = vec![0];
+        c.distances.clear();
+        for p in &mut c.pairs {
+            p.distances.clear();
+            p.witnesses.clear();
+        }
+        c
+    }
+
+    #[test]
+    fn domain_sums_past_128_bits_are_refused() {
+        let mut c = corner(expr(vec![0; 3], 0));
+        c.domain.push(CertConstraint {
+            coeffs: vec![i64::MIN; 3],
+            constant: 0,
+            eq: false,
+        });
+        let r = check_certificate(&c).unwrap_err();
+        assert_eq!(r.code, RejectCode::Malformed);
+        let at = "[-9223372036854775807, -9223372036854775807, -9223372036854775807]";
+        assert_eq!(
+            r.detail,
+            format!("domain constraint 3 overflows 128 bits at {at}")
+        );
+    }
+
+    #[test]
+    fn subscript_sums_past_128_bits_are_refused() {
+        // Three products of nearly 2^126 each, evaluated at a witness.
+        let mut c = corner(expr(vec![i64::MIN; 3], 0));
+        let point = vec![-i64::MAX; 3];
+        c.pairs[0].witnesses = vec![(vec![0; 3], point)];
+        let r = check_certificate(&c).unwrap_err();
+        assert_eq!(r.code, RejectCode::Malformed);
+        let at = "[-9223372036854775807, -9223372036854775807, -9223372036854775807]";
+        assert_eq!(
+            r.detail,
+            format!("a subscript of `A` overflows 128 bits at {at}")
+        );
+    }
+
+    #[test]
+    fn subscript_ranges_past_128_bits_are_refused() {
+        // The same sums, bounded over the domain box for the uniform pair.
+        let c = corner(expr(vec![i64::MIN; 3], 0));
+        let r = check_certificate(&c).unwrap_err();
+        assert_eq!(r.code, RejectCode::Structure);
+        assert_eq!(
+            r.detail,
+            "reference 0 row 0 overflows 128 bits over the domain box"
+        );
+    }
+
+    #[test]
+    fn self_joins_derive_what_the_full_product_derives() {
+        for (method, verdict) in [
+            ("symbolic", Verdict::SymbolicProof),
+            ("enumerated", Verdict::Enumerated),
+        ] {
+            // `A[i] = A[i] + A[i - 1]` on one core: the write with itself
+            // and with the read `A[i]` are self-joins (one subscript
+            // function), which only `p == q` satisfies.
+            let mut c = chain(9);
+            c.schedule = vec![CertGroup {
+                round: 0,
+                core: 0,
+                units: (0..8).collect(),
+            }];
+            c.refs.push(c.refs[0].clone());
+            c.refs[2].write = false;
+            c.pairs.push(c.pairs[0].clone());
+            c.pairs[2].ref_b = 2;
+            for p in &mut c.pairs {
+                p.method = method.to_owned();
+            }
+            c.verdict = verdict;
+            let stats = check_certificate(&c).unwrap();
+            assert_eq!(
+                (stats.n_pairs, stats.n_exact_rederivations),
+                (3, 3),
+                "{method}"
+            );
+            // `A[3]` everywhere: each pair, self-joins included, realizes
+            // every distance 1..=7.
+            for r in &mut c.refs {
+                r.subscript = CertSubscript::Affine(vec![expr(vec![0], 3)]);
+            }
+            c.distances = (1..=7).map(|d| vec![d]).collect();
+            for p in &mut c.pairs {
+                p.distances = c.distances.clone();
+            }
+            let stats = check_certificate(&c).unwrap();
+            assert_eq!(stats.n_exact_rederivations, 3, "{method}");
+            // A self pair that leaves one out is caught.
+            c.pairs[0].distances.pop();
+            let r = check_certificate(&c).unwrap_err();
+            assert_eq!(r.code, RejectCode::Recheck, "{method}: {r}");
+            assert!(
+                r.detail.starts_with("pair (0, 0): claimed distances"),
+                "{r}"
+            );
+        }
     }
 
     /// `A[t[i]]` written over `i` in `0..4` with `t = [3, 1, 3, 1]`, whose

@@ -184,6 +184,7 @@ pub fn escape_str(s: &str) -> String {
 /// offset.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -197,6 +198,7 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -285,53 +287,50 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(b) = self.peek() else {
+            // `"` and `\` are ASCII, so the run before the next of them is
+            // whole UTF-8 of the input: copy it in one piece.
+            let rest = &self.bytes[self.pos..];
+            let Some(len) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
                 return Err("unterminated string".to_owned());
             };
+            let run = self
+                .text
+                .get(self.pos..self.pos + len)
+                .ok_or_else(|| "invalid UTF-8 in string".to_owned())?;
+            out.push_str(run);
+            self.pos += len + 1;
+            if rest[len] == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err("unterminated escape".to_owned());
+            };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err("unterminated escape".to_owned());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let end = self.pos + 4;
-                            let hex = self
-                                .bytes
-                                .get(self.pos..end)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| "truncated \\u escape".to_owned())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("invalid \\u escape `{hex}`"))?;
-                            // Surrogate pairs never occur in our documents
-                            // (the renderer only emits \u00XX controls);
-                            // replace lone surrogates rather than erroring.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos = end;
-                        }
-                        other => return Err(format!("invalid escape `\\{}`", char::from(other))),
-                    }
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b't' => out.push('\t'),
+                b'r' => out.push('\r'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let end = self.pos + 4;
+                    let hex = self
+                        .bytes
+                        .get(self.pos..end)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or_else(|| "truncated \\u escape".to_owned())?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| format!("invalid \\u escape `{hex}`"))?;
+                    // Surrogate pairs never occur in our documents (the
+                    // renderer only emits \u00XX controls); replace lone
+                    // surrogates rather than erroring.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos = end;
                 }
-                _ => {
-                    // Re-decode from the byte position to keep multi-byte
-                    // UTF-8 sequences intact.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos - 1..])
-                        .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8() - 1;
-                }
+                other => return Err(format!("invalid escape `\\{}`", char::from(other))),
             }
         }
     }
@@ -506,8 +505,84 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["{", "[1,", "\"abc", "{\"a\" 1}", "1 2", "tru", "{'a':1}"] {
-            assert!(parse(bad).is_err(), "{bad}");
+        let cases = [
+            ("{", "expected `\"` at byte 1"),
+            ("[1,", "unexpected end of input"),
+            ("\"abc", "unterminated string"),
+            ("{\"a\" 1}", "expected `:` at byte 5"),
+            ("1 2", "trailing input at byte 2"),
+            ("tru", "invalid literal at byte 0"),
+            ("{'a':1}", "expected `\"` at byte 1"),
+            ("[\"a\\", "unterminated escape"),
+            ("\"\\q\"", "invalid escape `\\q`"),
+            ("\"\\u12\"", "truncated \\u escape"),
+            ("\"\\u12zz\"", "invalid \\u escape `12zz`"),
+            ("\"\\u0é\"", "invalid \\u escape `0é\"`"),
+            ("\"\\u000é\"", "truncated \\u escape"),
+            ("[\"é\" \"", "expected `,` or `]` at byte 6"),
+        ];
+        for (bad, error) in cases {
+            assert_eq!(parse(bad), Err(error.to_owned()), "{bad}");
+        }
+    }
+
+    #[test]
+    fn strings_roundtrip_through_the_renderer() {
+        let controls: String = (0..0x20u8).map(char::from).collect();
+        let long = "abc".repeat(40_000);
+        let cases = [
+            String::new(),
+            long.clone(),
+            format!("{long}\"{long}\\{long}"),
+            "\"\\\n\t\r".to_owned(),
+            controls.clone(),
+            "é€😀".to_owned(),
+            format!("\"é\n€\t😀\\{controls}😀\"é"),
+            "😀".repeat(10_000),
+            format!("x{}y", "\n".repeat(1_000)),
+        ];
+        for s in cases {
+            let v = JsonValue::Str(s.clone());
+            assert_eq!(parse(&v.render()), Ok(v.clone()), "{s:?}");
+            // The string last in its document, and between other values.
+            let doc = JsonValue::Array(vec![JsonValue::Int(1), v.clone()]);
+            assert_eq!(parse(&doc.render()), Ok(doc), "{s:?}");
+            let doc = JsonValue::Object(vec![(s.clone(), v), ("k".to_owned(), JsonValue::Null)]);
+            assert_eq!(parse(&doc.render()), Ok(doc), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn strings_take_escapes_the_renderer_never_emits() {
+        let cases = [
+            ("\"a\u{1}b\u{1f}\"", "a\u{1}b\u{1f}"),
+            ("\"\\/\\b\\f\"", "/\u{8}\u{c}"),
+            ("\"\\u00e9\\u20AC\"", "é€"),
+            ("\"\\ud800\"", "\u{fffd}"),
+            ("\"é\\\"😀\\u0041\"", "é\"😀A"),
+        ];
+        for (doc, value) in cases {
+            assert_eq!(parse(doc), Ok(JsonValue::Str(value.to_owned())), "{doc}");
+        }
+    }
+
+    /// Each string is scanned once: a document's parse time is linear in
+    /// its length, however its bytes are split into strings.
+    #[test]
+    fn long_strings_and_many_keys_parse_in_linear_time() {
+        let literal = format!("\"{}\"", "x".repeat(1 << 20));
+        let objects: Vec<String> = (0..100_000).map(|i| format!("{{\"{i:x}\":1}}")).collect();
+        let keys = format!("[{}]", objects.join(","));
+        assert!(keys.len() >= 1 << 20, "{}", keys.len());
+        for doc in [literal, keys] {
+            let start = std::time::Instant::now();
+            assert!(parse(&doc).is_ok());
+            let took = start.elapsed();
+            assert!(
+                took.as_secs_f64() < 1.0,
+                "{} bytes took {took:?}",
+                doc.len()
+            );
         }
     }
 

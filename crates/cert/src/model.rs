@@ -39,16 +39,20 @@ pub struct CertExpr {
 
 impl CertExpr {
     /// Evaluates the expression at a point, in `i128` so that a product of
-    /// an `i64` coefficient and an `i64` coordinate is exact.
-    pub fn eval(&self, point: &[i64]) -> i128 {
-        i128::from(self.constant)
-            + self
-                .coeffs
-                .iter()
-                .zip(point)
-                .map(|(&c, &x)| i128::from(c) * i128::from(x))
-                .sum::<i128>()
+    /// an `i64` coefficient and an `i64` coordinate is exact; `None` when a
+    /// partial sum, constant first, leaves `i128`.
+    pub fn eval(&self, point: &[i64]) -> Option<i128> {
+        affine_value(&self.coeffs, self.constant, point)
     }
+}
+
+/// `constant + coeffs · point` in `i128`, or `None` when a partial sum
+/// leaves it.
+pub(crate) fn affine_value(coeffs: &[i64], constant: i64, point: &[i64]) -> Option<i128> {
+    let mut terms = coeffs.iter().zip(point);
+    terms.try_fold(i128::from(constant), |sum, (&c, &x)| {
+        sum.checked_add(i128::from(c) * i128::from(x))
+    })
 }
 
 /// One array declaration of the certified nest's program.
